@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"r3dla/internal/branch"
@@ -77,9 +78,13 @@ func DLAOptions() Options {
 	return Options{WithBOP: true}
 }
 
-// Results aggregates a DLA run's observables.
+// Results aggregates a DLA run's observables. It is a self-contained
+// snapshot: it holds no pointer into the System, its cores, caches or
+// DRAM, so keeping a Results (the run memo keeps every one) never keeps
+// the simulated machine alive, and a System that runs on never changes a
+// Results it returned earlier.
 type Results struct {
-	MT, LT *pipeline.Metrics
+	MT, LT *pipeline.Metrics // LT is nil when no look-ahead thread ran
 
 	Reboots         uint64
 	WatchdogReboots uint64 // forced resyncs after MT starvation
@@ -92,8 +97,8 @@ type Results struct {
 	SIFDeletes      uint64
 	SkeletonUse     []uint64 // committed MT insts attributed per version
 
-	MTMem, LTMem *memsys.Private
-	Shared       *memsys.Shared
+	MTMem, LTMem memsys.PrivateStats
+	Shared       memsys.SharedStats
 }
 
 // IPC reports the MT (architectural) IPC.
@@ -154,7 +159,10 @@ type System struct {
 	wdStall         uint64
 
 	now uint64
-	res Results
+
+	reboots         uint64
+	watchdogReboots uint64
+	boqWrong        uint64
 }
 
 // watchdogWindow is the no-MT-progress window (cycles) that forces an LT
@@ -322,7 +330,7 @@ func (b *boqSource) PredictAndTrain(pc int, actual bool, now uint64) (bool, bool
 		if e, ok := s.boq.Pop(); ok {
 			s.releaseHints(e.Index+hintLead, now)
 			if e.Taken != actual && !s.rebootArmed {
-				s.res.BOQWrong++
+				s.boqWrong++
 				s.rebootAt = now + 1
 				s.rebootArmed = true
 			}
@@ -332,7 +340,7 @@ func (b *boqSource) PredictAndTrain(pc int, actual bool, now uint64) (bool, bool
 	if e, ok := s.boq.Pop(); ok {
 		s.releaseHints(e.Index+hintLead, now)
 		if e.Taken != actual {
-			s.res.BOQWrong++
+			s.boqWrong++
 			s.pendingMismatch = true
 		}
 		return e.Taken, true
@@ -518,7 +526,7 @@ func (s *System) ltDead() bool {
 
 func (s *System) doReboot() {
 	s.rebootArmed = false
-	s.res.Reboots++
+	s.reboots++
 
 	s.ltMach.CopyArchState(s.mtMach)
 	s.ltOver.Reset()
@@ -583,7 +591,7 @@ func (s *System) RunContext(ctx context.Context, budget uint64) (*Results, error
 			} else if s.wdStall++; s.wdStall > watchdogWindow && !s.rebootArmed {
 				s.rebootArmed = true
 				s.rebootAt = s.now
-				s.res.WatchdogReboots++
+				s.watchdogReboots++
 			}
 		}
 		s.mt.Tick()
@@ -623,25 +631,31 @@ func (s *System) LCTSnapshot() map[int]int {
 	return out
 }
 
-// Results snapshots the run's observables.
+// Results snapshots the run's observables into a fresh Results.
 func (s *System) Results() *Results {
-	r := &s.res
-	r.MT = &s.mt.M
+	r := &Results{
+		MT:              s.mt.M.Clone(),
+		Reboots:         s.reboots,
+		WatchdogReboots: s.watchdogReboots,
+		BOQWrong:        s.boqWrong,
+		FQDrops:         s.fq.Drops + s.ind.Drops,
+		VQDrops:         s.vq.Drops,
+		SIFInserts:      s.sif.Inserts,
+		SIFDeletes:      s.sif.Deletes,
+		MTMem:           s.mtMem.Stats(),
+		LTMem:           s.ltMem.Stats(),
+		Shared:          s.shared.Stats(),
+	}
 	if s.lt != nil {
-		r.LT = &s.lt.M
+		r.LT = s.lt.M.Clone()
 		r.LTSkipped = s.ltFeed.Skipped
 	}
-	r.FQDrops = s.fq.Drops + s.ind.Drops
-	r.VQDrops = s.vq.Drops
 	if s.t1 != nil {
 		r.T1Issued = s.t1.Issued
 	}
-	r.SIFInserts = s.sif.Inserts
-	r.SIFDeletes = s.sif.Deletes
 	if s.rc != nil {
 		s.rc.Finish(s.mt.M.Committed, s.mt.M.Cycles)
-		r.SkeletonUse = s.rc.UseInsts
+		r.SkeletonUse = slices.Clone(s.rc.UseInsts)
 	}
-	r.MTMem, r.LTMem, r.Shared = s.mtMem, s.ltMem, s.shared
 	return r
 }

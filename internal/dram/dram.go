@@ -128,4 +128,4 @@ func (d *DRAM) Access(addr uint64, write, prefetch bool, now uint64) cache.Resul
 func (d *DRAM) Writeback() { d.Stats.Writes++ }
 
 // Traffic reports total blocks moved to/from memory.
-func (d *DRAM) Traffic() uint64 { return d.Stats.Reads + d.Stats.Writes }
+func (s *Stats) Traffic() uint64 { return s.Reads + s.Writes }

@@ -16,16 +16,16 @@ import (
 func RunEnergy(r *core.Results, p energy.Params) (cpuJ, dramJ float64) {
 	wall := r.MT.Cycles
 	cpuJ = energy.Core(energy.CoreActivity{
-		Metrics: r.MT, L1I: &r.MTMem.L1I.Stats, L1D: &r.MTMem.L1D.Stats,
-		L2: &r.MTMem.L2.Stats, WallCycles: wall,
+		Metrics: r.MT, L1I: &r.MTMem.L1I, L1D: &r.MTMem.L1D,
+		L2: &r.MTMem.L2, WallCycles: wall,
 	}, p).TotalJ()
 	if r.LT != nil {
 		cpuJ += energy.Core(energy.CoreActivity{
-			Metrics: r.LT, L1I: &r.LTMem.L1I.Stats, L1D: &r.LTMem.L1D.Stats,
-			L2: &r.LTMem.L2.Stats, WallCycles: wall,
+			Metrics: r.LT, L1I: &r.LTMem.L1I, L1D: &r.LTMem.L1D,
+			L2: &r.LTMem.L2, WallCycles: wall,
 		}, p).TotalJ()
 	}
-	cpuJ += energy.Shared(&r.Shared.L3.Stats, wall, p).TotalJ()
-	dramJ = energy.DRAM(&r.Shared.DRAM.Stats, wall, p).TotalJ()
+	cpuJ += energy.Shared(&r.Shared.L3, wall, p).TotalJ()
+	dramJ = energy.DRAM(&r.Shared.DRAM, wall, p).TotalJ()
 	return cpuJ, dramJ
 }

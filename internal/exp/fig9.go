@@ -163,8 +163,8 @@ func Table2(c *Context) *Report {
 		bl := c.RunCached("BL", pr, core.Options{Disable: true, WithBOP: true})
 		bAct := energy.ActivityOf(bl.MT)
 		bEn := energy.Core(energy.CoreActivity{
-			Metrics: bl.MT, L1I: &bl.MTMem.L1I.Stats, L1D: &bl.MTMem.L1D.Stats,
-			L2: &bl.MTMem.L2.Stats, WallCycles: bl.MT.Cycles,
+			Metrics: bl.MT, L1I: &bl.MTMem.L1I, L1D: &bl.MTMem.L1D,
+			L2: &bl.MTMem.L2, WallCycles: bl.MT.Cycles,
 		}, p)
 		out := make(map[string]contrib, 4)
 		mk := func(act energy.Activity, e energy.Breakdown) contrib {
@@ -185,12 +185,12 @@ func Table2(c *Context) *Report {
 			r := c.RunCached(cfgName+"dla-r3", pr, opt)
 			wall := r.MT.Cycles
 			mtEn := energy.Core(energy.CoreActivity{
-				Metrics: r.MT, L1I: &r.MTMem.L1I.Stats, L1D: &r.MTMem.L1D.Stats,
-				L2: &r.MTMem.L2.Stats, WallCycles: wall,
+				Metrics: r.MT, L1I: &r.MTMem.L1I, L1D: &r.MTMem.L1D,
+				L2: &r.MTMem.L2, WallCycles: wall,
 			}, p)
 			ltEn := energy.Core(energy.CoreActivity{
-				Metrics: r.LT, L1I: &r.LTMem.L1I.Stats, L1D: &r.LTMem.L1D.Stats,
-				L2: &r.LTMem.L2.Stats, WallCycles: wall,
+				Metrics: r.LT, L1I: &r.LTMem.L1I, L1D: &r.LTMem.L1D,
+				L2: &r.LTMem.L2, WallCycles: wall,
 			}, p)
 			out[cfgName+" MT"] = mk(energy.ActivityOf(r.MT), mtEn)
 			out[cfgName+" LT"] = mk(energy.ActivityOf(r.LT), ltEn)

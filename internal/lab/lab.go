@@ -252,7 +252,7 @@ func newRunResult(workload string, cfg Config, budget uint64, r *core.Results) *
 		BOQWrong:    r.BOQWrong,
 		T1Issued:    r.T1Issued,
 		SkeletonUse: r.SkeletonUse,
-		L1DMPKI:     r.MTMem.L1D.Stats.MPKI(r.MT.Committed),
+		L1DMPKI:     r.MTMem.L1D.MPKI(r.MT.Committed),
 		DRAMTraffic: r.Shared.DRAM.Traffic(),
 		Deadlocked:  r.MT.Deadlocked,
 	}

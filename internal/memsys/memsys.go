@@ -27,6 +27,17 @@ func NewShared() *Shared {
 	return &Shared{L3: l3, DRAM: d}
 }
 
+// SharedStats is a snapshot of the shared L3 and DRAM counters.
+type SharedStats struct {
+	L3   cache.Stats
+	DRAM dram.Stats
+}
+
+// Stats snapshots the shared level's counters.
+func (s *Shared) Stats() SharedStats {
+	return SharedStats{L3: s.L3.Stats, DRAM: s.DRAM.Stats}
+}
+
 // Private is one core's private cache stack.
 type Private struct {
 	L1I, L1D, L2 *cache.Cache
@@ -36,6 +47,16 @@ type Private struct {
 	Stride *prefetch.Stride
 
 	strideBuf []uint64
+}
+
+// PrivateStats is a snapshot of one private stack's cache counters.
+type PrivateStats struct {
+	L1I, L1D, L2 cache.Stats
+}
+
+// Stats snapshots the stack's counters.
+func (p *Private) Stats() PrivateStats {
+	return PrivateStats{L1I: p.L1I.Stats, L1D: p.L1D.Stats, L2: p.L2.Stats}
 }
 
 // Options selects the prefetchers and containment mode of a private stack.

@@ -140,6 +140,16 @@ type Metrics struct {
 	Demand    *stats.Histogram
 }
 
+// Clone returns an independent copy of m, histograms included, so the
+// copy neither changes as the core keeps running nor keeps the core alive.
+func (m *Metrics) Clone() *Metrics {
+	c := *m
+	c.FetchQOcc = m.FetchQOcc.Clone()
+	c.Supply = m.Supply.Clone()
+	c.Demand = m.Demand.Clone()
+	return &c
+}
+
 // IPC reports committed instructions per cycle.
 func (m *Metrics) IPC() float64 {
 	if m.Cycles == 0 {
