@@ -15,6 +15,11 @@
 // checksum must absorb), fail with ENOSPC, or stall. Readers built on
 // "any anomaly is a silent miss" get exercised against the real damage
 // shapes instead of synthetic ones.
+//
+// The package also owns the bytes those stores write: Frame is the one
+// integrity framing (magic, version, fingerprint, key, length, checksum)
+// and KeyPath the one key-to-filename mapping, so the result store and
+// the prep cache keep only their magic, suffix and payload logic.
 package atomicio
 
 import (

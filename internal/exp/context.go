@@ -87,76 +87,13 @@ type sharedState struct {
 	semOnce sync.Once
 	sem     chan struct{}
 
+	prepared Memo[*Prepared]
+	runs     Memo[*core.Results]
+
 	mu        sync.Mutex
-	prepared  map[string]*prepEntry
-	runs      map[string]*runEntry
 	prepCount map[string]int // times preparation actually executed, per workload
 	runCount  int            // memoized simulations actually executed (cache misses)
 }
-
-// entry is a panic-safe singleflight cell: the first caller (the
-// leader) computes while later callers for the same key wait. Unlike
-// sync.Once, a panicking computation (cancellation aborts runs by
-// panicking out of the pool) leaves the entry unfilled, so reusing the
-// Context after a canceled run recomputes instead of returning nil.
-type entry[T any] struct {
-	mu      sync.Mutex
-	running bool
-	done    bool
-	val     T
-	wake    chan struct{} // closed when the current leader finishes (either way)
-}
-
-// do returns the memoized value, computing it via f if needed. f runs
-// at most once concurrently; on panic the entry stays empty for retry
-// (a waiter takes over as the new leader). Waiters are interruptible:
-// when cancel fires they call onCancel (which must not return normally
-// — it panics the engine's cancellation sentinel) instead of blocking
-// for the leader's whole simulation. A nil cancel channel never fires.
-func (e *entry[T]) do(cancel <-chan struct{}, onCancel func(), f func() T) T {
-	e.mu.Lock()
-	for {
-		if e.done {
-			v := e.val
-			e.mu.Unlock()
-			return v
-		}
-		if !e.running {
-			break // become the leader
-		}
-		wake := e.wake
-		e.mu.Unlock()
-		select {
-		case <-wake:
-		case <-cancel:
-			onCancel()
-		}
-		e.mu.Lock()
-	}
-	e.running = true
-	wake := make(chan struct{})
-	e.wake = wake
-	e.mu.Unlock()
-
-	ok := false
-	var v T
-	defer func() {
-		e.mu.Lock()
-		e.running = false
-		if ok {
-			e.val, e.done = v, true
-		}
-		e.wake = nil
-		e.mu.Unlock()
-		close(wake)
-	}()
-	v = f()
-	ok = true
-	return v
-}
-
-type prepEntry = entry[*Prepared]
-type runEntry = entry[*core.Results]
 
 // NewContext returns a Context with the given evaluation budget (0 means
 // the default 150k instructions).
@@ -167,11 +104,7 @@ func NewContext(budget uint64) *Context {
 	return &Context{
 		Budget:      budget,
 		TrainBudget: budget / 2,
-		state: &sharedState{
-			prepared:  make(map[string]*prepEntry),
-			runs:      make(map[string]*runEntry),
-			prepCount: make(map[string]int),
-		},
+		state:       &sharedState{prepCount: make(map[string]int)},
 	}
 }
 
@@ -223,13 +156,21 @@ func (c *Context) checkCanceled() {
 	}
 }
 
-// cancelCh returns the channel singleflight waiters select on; nil (a
-// never-firing channel) when the Context has no cancellation.
-func (c *Context) cancelCh() <-chan struct{} {
-	if c.ctx == nil {
-		return nil
+// memoDo runs f through one of the shared memos. f aborts by panicking
+// the cancellation sentinel, which leaves the entry for a waiter to take
+// over; a waiter whose Context is canceled gets the memo's context error
+// back and re-raises it as the same sentinel.
+func memoDo[V any](c *Context, m *Memo[V], key string, f func() V) V {
+	ctx := c.ctx
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	return c.ctx.Done()
+	v, err := m.Do(ctx, key, func() (V, error) { return f(), nil })
+	if err != nil {
+		panic(canceled{err})
+	}
+	c.checkCanceled()
+	return v
 }
 
 // Do runs f on the worker pool: it blocks for a slot (respecting Jobs),
@@ -316,14 +257,7 @@ func (c *Context) RunCached(key string, p *Prepared, opt core.Options) *core.Res
 // different budgets never alias.
 func (c *Context) RunCachedAt(key string, p *Prepared, opt core.Options, budget uint64) *core.Results {
 	k := fmt.Sprintf("%s/%s@%d", p.W.Name, key, budget)
-	c.state.mu.Lock()
-	e, ok := c.state.runs[k]
-	if !ok {
-		e = &runEntry{}
-		c.state.runs[k] = e
-	}
-	c.state.mu.Unlock()
-	r := e.do(c.cancelCh(), c.checkCanceled, func() *core.Results {
+	return memoDo(c, &c.state.runs, k, func() *core.Results {
 		start := time.Now()
 		res := c.RunDLAAt(p, opt, budget)
 		c.state.mu.Lock()
@@ -332,8 +266,6 @@ func (c *Context) RunCachedAt(key string, p *Prepared, opt core.Options, budget 
 		c.emit(Event{Stage: "run", Workload: p.W.Name, Key: key, Elapsed: time.Since(start)})
 		return res
 	})
-	c.checkCanceled()
-	return r
 }
 
 // Prepared is a workload ready to run: evaluation program + profile and
@@ -370,14 +302,7 @@ func (p *Prepared) Image() *emu.Memory {
 // memoized with singleflight semantics: under concurrency it executes
 // exactly once per workload, and every caller gets the same *Prepared.
 func (c *Context) Prep(name string) *Prepared {
-	c.state.mu.Lock()
-	e, ok := c.state.prepared[name]
-	if !ok {
-		e = &prepEntry{}
-		c.state.prepared[name] = e
-	}
-	c.state.mu.Unlock()
-	p := e.do(c.cancelCh(), c.checkCanceled, func() *Prepared {
+	return memoDo(c, &c.state.prepared, name, func() *Prepared {
 		start := time.Now()
 		var val *Prepared
 		c.Do(func() { val = c.prep(name) })
@@ -387,8 +312,6 @@ func (c *Context) Prep(name string) *Prepared {
 		c.emit(Event{Stage: "prep", Workload: name, Elapsed: time.Since(start)})
 		return val
 	})
-	c.checkCanceled()
-	return p
 }
 
 // PrepCache persists preparation artifacts across processes. Load returns

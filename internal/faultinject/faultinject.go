@@ -300,6 +300,21 @@ func (p *Plane) At(point string) Outcome {
 	return out
 }
 
+// Stall is the read-side fault gate: it records one arrival at point,
+// sleeps out any drawn Delay, and returns any drawn Err. Write and stream
+// faults (torn, corrupt, drop) do not apply to reads and are ignored.
+// Nil-safe: a nil plane returns nil without drawing.
+func (p *Plane) Stall(point string) error {
+	if p == nil {
+		return nil
+	}
+	o := p.At(point)
+	if o.Delay > 0 {
+		time.Sleep(o.Delay)
+	}
+	return o.Err
+}
+
 // outcome materializes one firing of a.pol.
 func (a *armed) outcome(point string) Outcome {
 	frac := f64(&a.rng)

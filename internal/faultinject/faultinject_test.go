@@ -168,6 +168,34 @@ func TestDelayAndDropOutcomes(t *testing.T) {
 	}
 }
 
+// Stall is the read-side gate: one arrival per call, a drawn delay slept
+// out, a drawn error returned; a nil plane is a no-op.
+func TestStall(t *testing.T) {
+	var nilPlane *Plane
+	if err := nilPlane.Stall(PrepCacheLoad); err != nil {
+		t.Fatalf("nil plane stalled with %v", err)
+	}
+	p := New(3)
+	p.MustArm(Policy{Point: PrepCacheLoad, Mode: Delay, Delay: 5 * time.Millisecond, Limit: 1})
+	p.MustArm(Policy{Point: JournalLoad, Mode: Error, Limit: 1})
+	start := time.Now()
+	if err := p.Stall(PrepCacheLoad); err != nil {
+		t.Fatalf("delay gate returned %v", err)
+	}
+	if took := time.Since(start); took < 5*time.Millisecond {
+		t.Fatalf("delay gate returned after %v, want >= 5ms", took)
+	}
+	if err := p.Stall(JournalLoad); !errors.Is(err, ErrInjected) {
+		t.Fatalf("error gate returned %v, want an injected error", err)
+	}
+	if err := p.Stall(JournalLoad); err != nil {
+		t.Fatalf("spent policy still fired: %v", err)
+	}
+	if f := p.Fires(); f[PrepCacheLoad] != 1 || f[JournalLoad] != 1 {
+		t.Fatalf("fires = %v, want one per point", f)
+	}
+}
+
 func TestScheduleRendersInArmOrder(t *testing.T) {
 	p := New(2)
 	p.MustArm(Policy{Point: ServerRun, Mode: Delay, Delay: time.Millisecond, Prob: 0.25, After: 1, Limit: 2})

@@ -24,8 +24,8 @@ import (
 // first carries the same bytes.
 //
 // The pool memoizes run results under the canonical
-// workload|configKey@budget key with singleflight semantics, mirroring
-// the Lab's own cache: concurrent identical cells collapse onto one
+// workload|configKey@budget key in an exp.Memo, the same memo behind the
+// Lab's own cache: concurrent identical cells collapse onto one
 // dispatch, and overlapping sweeps share results client-side no matter
 // which backend computed them.
 type Pool struct {
@@ -40,9 +40,7 @@ type Pool struct {
 	brkThreshold int           // consecutive hard faults to open a member's breaker (0 = disabled)
 	brkCooldown  time.Duration // first open window (0 = probeEvery)
 
-	mu      sync.Mutex
-	results map[string]*lab.RunResult
-	calls   map[string]*flight
+	results exp.Memo[*lab.RunResult]
 
 	calls64 atomic.Int64 // backend calls actually issued (retries and hedges count)
 
@@ -63,13 +61,6 @@ type member struct {
 	backoff   time.Duration
 	nextProbe time.Time
 	lastErr   error
-}
-
-// flight is one in-progress singleflight dispatch.
-type flight struct {
-	done chan struct{}
-	res  *lab.RunResult
-	err  error
 }
 
 // PoolOption configures a Pool.
@@ -152,8 +143,6 @@ func NewPool(backends []Backend, opts ...PoolOption) (*Pool, error) {
 		probeEvery:   5 * time.Second,
 		probeTimeout: 3 * time.Second,
 		brkThreshold: 5,
-		results:      make(map[string]*lab.RunResult),
-		calls:        make(map[string]*flight),
 		stop:         make(chan struct{}),
 	}
 	for _, b := range backends {
@@ -224,54 +213,20 @@ func (p *Pool) Status() []MemberStatus {
 // Run executes one simulation somewhere in the fleet. Identical
 // concurrent requests collapse onto one dispatch, and completed results
 // are served from the client-side cache (results are deterministic, so
-// the cache never goes stale).
+// the cache never goes stale). A leader whose own caller went away hands
+// the dispatch to a waiter; any other failure (validation, exhausted
+// retries) is every waiter's too, and the next call retries.
 func (p *Pool) Run(ctx context.Context, req lab.RunRequest) (*lab.RunResult, error) {
 	cfg, err := req.Config.Config()
 	if err != nil {
 		return nil, err
 	}
 	key := lab.RunKey(req.Workload, cfg, req.Budget)
-	for {
-		p.mu.Lock()
-		if res, ok := p.results[key]; ok {
-			p.mu.Unlock()
-			return res, nil
-		}
-		if fl, ok := p.calls[key]; ok {
-			p.mu.Unlock()
-			select {
-			case <-fl.done:
-				if fl.err == nil {
-					return fl.res, nil
-				}
-				// The leader failed. If it failed because its own caller
-				// went away, take over as the new leader; any other error
-				// (validation, exhausted retries) is this caller's too.
-				if errors.Is(fl.err, context.Canceled) || errors.Is(fl.err, context.DeadlineExceeded) {
-					continue
-				}
-				return nil, fl.err
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		fl := &flight{done: make(chan struct{})}
-		p.calls[key] = fl
-		p.mu.Unlock()
-
-		res, err := dispatch(ctx, p, key, func(ctx context.Context, m *member) (*lab.RunResult, error) {
+	return p.results.Do(ctx, key, func() (*lab.RunResult, error) {
+		return dispatch(ctx, p, key, func(ctx context.Context, m *member) (*lab.RunResult, error) {
 			return m.b.Run(ctx, req)
 		})
-		p.mu.Lock()
-		delete(p.calls, key)
-		if err == nil {
-			p.results[key] = res
-		}
-		p.mu.Unlock()
-		fl.res, fl.err = res, err
-		close(fl.done)
-		return res, err
-	}
+	})
 }
 
 // Experiment regenerates one artifact somewhere in the fleet (at the

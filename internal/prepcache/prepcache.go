@@ -6,9 +6,10 @@
 //
 // Entries are keyed by "workload@trainBudget" and guarded by a fingerprint
 // over the training and evaluation programs: any change to the workload
-// builder invalidates the entry. Writes are atomic (temp file + rename)
-// and loads are corruption-tolerant — a torn write, a version bump, a key
-// or fingerprint mismatch, or a checksum failure all read as a cache miss,
+// builder invalidates the entry. Entries use the atomicio.Frame codec the
+// result store shares; writes are atomic (atomicio.WriteFile) and loads
+// are corruption-tolerant — a torn write, a version bump, a key or
+// fingerprint mismatch, or a checksum failure all read as a cache miss,
 // never an error, so the caller silently regenerates.
 package prepcache
 
@@ -19,9 +20,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"path/filepath"
-	"strings"
-	"time"
 
 	"r3dla/internal/atomicio"
 	"r3dla/internal/core"
@@ -33,13 +31,13 @@ import (
 // regenerates) every existing entry.
 const Version = 1
 
-// magic identifies a prep-cache file; blobMagic identifies a generic
-// blob entry (StoreBlob/LoadBlob), so the two kinds can never be
-// confused for one another even if their keys collide after
-// sanitization.
+// prepFrame frames a prep-cache entry (magic "R3PC"); blobFrame frames
+// a generic blob (StoreBlob/LoadBlob, magic "R3PB"), so the two kinds
+// can never be confused for one another even if their keys collide
+// after sanitization.
 var (
-	magic     = [4]byte{'R', '3', 'P', 'C'}
-	blobMagic = [4]byte{'R', '3', 'P', 'B'}
+	prepFrame = atomicio.Frame{Magic: [4]byte{'R', '3', 'P', 'C'}, Version: Version}
+	blobFrame = atomicio.Frame{Magic: [4]byte{'R', '3', 'P', 'B'}, Version: Version}
 )
 
 // Cache is a directory of serialized preparation entries. The zero value
@@ -106,85 +104,8 @@ func Fingerprint(progs ...*isa.Program) uint64 {
 	return h.Sum64()
 }
 
-// path maps a key to its file, sanitized so keys never escape the cache
-// directory. Collisions after sanitization are harmless: the exact key is
-// embedded in the header and verified on load.
-func (c *Cache) path(key, suffix string) string {
-	clean := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '@', r == '.':
-			return r
-		}
-		return '_'
-	}, key)
-	return filepath.Join(c.dir, clean+suffix)
-}
-
-// encodeFrame wraps body in the on-disk framing shared by prep entries
-// and blobs: magic | version | fingerprint | keyLen | key | bodyLen |
-// FNV-1a(body) | body.
-func encodeFrame(kind [4]byte, key string, fingerprint uint64, body []byte) []byte {
-	var f bytes.Buffer
-	f.Write(kind[:])
-	var u32 [4]byte
-	var u64 [8]byte
-	binary.LittleEndian.PutUint32(u32[:], Version)
-	f.Write(u32[:])
-	binary.LittleEndian.PutUint64(u64[:], fingerprint)
-	f.Write(u64[:])
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(key)))
-	f.Write(u32[:])
-	f.WriteString(key)
-	binary.LittleEndian.PutUint64(u64[:], uint64(len(body)))
-	f.Write(u64[:])
-	sum := fnv.New64a()
-	sum.Write(body)
-	binary.LittleEndian.PutUint64(u64[:], sum.Sum64())
-	f.Write(u64[:])
-	f.Write(body)
-	return f.Bytes()
-}
-
-// decodeFrame validates raw against (kind, key, fingerprint) and returns
-// the framed body. Any anomaly — wrong magic or version, key or
-// fingerprint mismatch, truncation, checksum failure — is ok=false.
-func decodeFrame(kind [4]byte, key string, fingerprint uint64, raw []byte) (body []byte, ok bool) {
-	const fixed = 4 + 4 + 8 + 4 // magic, version, fingerprint, keyLen
-	if len(raw) < fixed {
-		return nil, false
-	}
-	if !bytes.Equal(raw[:4], kind[:]) {
-		return nil, false
-	}
-	if binary.LittleEndian.Uint32(raw[4:8]) != Version {
-		return nil, false
-	}
-	if binary.LittleEndian.Uint64(raw[8:16]) != fingerprint {
-		return nil, false
-	}
-	keyLen := int(binary.LittleEndian.Uint32(raw[16:20]))
-	rest := raw[20:]
-	if keyLen < 0 || len(rest) < keyLen+16 {
-		return nil, false
-	}
-	if string(rest[:keyLen]) != key {
-		return nil, false
-	}
-	rest = rest[keyLen:]
-	bodyLen := binary.LittleEndian.Uint64(rest[:8])
-	wantSum := binary.LittleEndian.Uint64(rest[8:16])
-	body = rest[16:]
-	if uint64(len(body)) != bodyLen {
-		return nil, false
-	}
-	sum := fnv.New64a()
-	sum.Write(body)
-	if sum.Sum64() != wantSum {
-		return nil, false
-	}
-	return body, true
-}
+// path maps a key to its file (see atomicio.KeyPath).
+func (c *Cache) path(key, suffix string) string { return atomicio.KeyPath(c.dir, key, suffix) }
 
 // Store serializes (prof, set) under key, guarded by the fingerprint of
 // (train, eval). The write is atomic: concurrent readers see either the
@@ -197,7 +118,7 @@ func (c *Cache) Store(key string, train, eval *isa.Program, prof *core.Profile, 
 		return fmt.Errorf("prepcache: encode %s: %w", key, err)
 	}
 
-	frame := encodeFrame(magic, key, Fingerprint(train, eval), body.Bytes())
+	frame := prepFrame.Encode(key, Fingerprint(train, eval), body.Bytes())
 	// atomicio carries the full durability ceremony: pid-unique temp file,
 	// fsync before rename, parent-directory fsync after.
 	if err := atomicio.WriteFile(c.path(key, ".prep"), frame, 0o644, c.faults, faultinject.PrepCacheStore); err != nil {
@@ -212,20 +133,14 @@ func (c *Cache) Store(key string, train, eval *isa.Program, prof *core.Profile, 
 // — is a miss (ok=false), signaling the caller to regenerate. On a hit the
 // returned Set has eval reattached as its Prog.
 func (c *Cache) Load(key string, train, eval *isa.Program) (prof *core.Profile, set *core.Set, ok bool) {
-	if c.faults != nil {
-		o := c.faults.At(faultinject.PrepCacheLoad)
-		if o.Delay > 0 {
-			time.Sleep(o.Delay)
-		}
-		if o.Err != nil {
-			return nil, nil, false // injected read fault = silent miss
-		}
+	if c.faults.Stall(faultinject.PrepCacheLoad) != nil {
+		return nil, nil, false // injected read fault = silent miss
 	}
 	raw, err := os.ReadFile(c.path(key, ".prep"))
 	if err != nil {
 		return nil, nil, false
 	}
-	body, ok := decodeFrame(magic, key, Fingerprint(train, eval), raw)
+	body, ok := prepFrame.Decode(key, Fingerprint(train, eval), raw)
 	if !ok {
 		return nil, nil, false
 	}
@@ -246,7 +161,7 @@ func (c *Cache) Load(key string, train, eval *isa.Program) (prof *core.Profile, 
 // suffix, so the two namespaces never collide. The tier package uses
 // blobs to persist per-workload calibration profiles.
 func (c *Cache) StoreBlob(key string, fingerprint uint64, body []byte) error {
-	frame := encodeFrame(blobMagic, key, fingerprint, body)
+	frame := blobFrame.Encode(key, fingerprint, body)
 	if err := atomicio.WriteFile(c.path(key, ".blob"), frame, 0o644, c.faults, faultinject.PrepCacheStore); err != nil {
 		return fmt.Errorf("prepcache: write blob %s: %w", key, err)
 	}
@@ -257,18 +172,12 @@ func (c *Cache) StoreBlob(key string, fingerprint uint64, body []byte) error {
 // fingerprint. Like Load, every anomaly is a miss (ok=false), never an
 // error.
 func (c *Cache) LoadBlob(key string, fingerprint uint64) (body []byte, ok bool) {
-	if c.faults != nil {
-		o := c.faults.At(faultinject.PrepCacheLoad)
-		if o.Delay > 0 {
-			time.Sleep(o.Delay)
-		}
-		if o.Err != nil {
-			return nil, false // injected read fault = silent miss
-		}
+	if c.faults.Stall(faultinject.PrepCacheLoad) != nil {
+		return nil, false // injected read fault = silent miss
 	}
 	raw, err := os.ReadFile(c.path(key, ".blob"))
 	if err != nil {
 		return nil, false
 	}
-	return decodeFrame(blobMagic, key, fingerprint, raw)
+	return blobFrame.Decode(key, fingerprint, raw)
 }

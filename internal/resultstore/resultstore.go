@@ -8,13 +8,13 @@
 //
 // The store is content-addressed by the caller's canonical run key
 // (workload|configKey@budget) and holds opaque byte payloads, so it never
-// imports the result types it persists. Entries follow the prep cache's
-// integrity discipline: a magic/version/fingerprint/key/length/checksum
-// header guards every payload, writes are atomic (unique per-process temp
-// file + rename), and any anomaly on read — torn write, version bump,
-// fingerprint or key mismatch, checksum failure — is a silent miss that
-// also deletes the damaged file, never an error. The caller regenerates
-// and overwrites.
+// imports the result types it persists. Entries share the prep cache's
+// integrity discipline: the atomicio.Frame header
+// (magic/version/fingerprint/key/length/checksum) guards every payload,
+// writes are atomic (unique per-process temp file + rename), and any
+// anomaly on read — torn write, version bump, fingerprint or key
+// mismatch, checksum failure — is a silent miss that also deletes the
+// damaged file, never an error. The caller regenerates and overwrites.
 //
 // The store is LRU-bounded by entry count: recency is the file mtime
 // (refreshed on every hit), so the eviction order itself survives
@@ -24,10 +24,7 @@
 package resultstore
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
@@ -43,8 +40,8 @@ import (
 // regenerates) every existing entry.
 const Version = 1
 
-// magic identifies a result-store file.
-var magic = [4]byte{'R', '3', 'R', 'S'}
+// frame is the result-store file framing (magic "R3RS").
+var frame = atomicio.Frame{Magic: [4]byte{'R', '3', 'R', 'S'}, Version: Version}
 
 // ext is the entry file suffix.
 const ext = ".res"
@@ -140,7 +137,11 @@ func (s *Store) scan() error {
 		if de.IsDir() || !strings.HasSuffix(name, ext) {
 			continue
 		}
-		key, ok := readKey(filepath.Join(s.dir, name))
+		raw, err := os.ReadFile(filepath.Join(s.dir, name))
+		if err != nil {
+			continue
+		}
+		key, ok := frame.Key(raw)
 		if !ok {
 			continue
 		}
@@ -165,107 +166,8 @@ func (s *Store) scan() error {
 	return nil
 }
 
-// path maps a key to its file, sanitized so keys never escape the store
-// directory. Sanitization collisions are harmless: the exact key is
-// embedded in the header and verified on load.
-func (s *Store) path(key string) string {
-	clean := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '@', r == '.':
-			return r
-		}
-		return '_'
-	}, key)
-	return filepath.Join(s.dir, clean+ext)
-}
-
-// encode renders the framed entry: header (magic, version, fingerprint,
-// key) then length-prefixed, checksummed body.
-func (s *Store) encode(key string, body []byte) []byte {
-	var f bytes.Buffer
-	f.Grow(len(key) + len(body) + 32)
-	f.Write(magic[:])
-	var u32 [4]byte
-	var u64 [8]byte
-	binary.LittleEndian.PutUint32(u32[:], Version)
-	f.Write(u32[:])
-	binary.LittleEndian.PutUint64(u64[:], s.fp)
-	f.Write(u64[:])
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(key)))
-	f.Write(u32[:])
-	f.WriteString(key)
-	binary.LittleEndian.PutUint64(u64[:], uint64(len(body)))
-	f.Write(u64[:])
-	sum := fnv.New64a()
-	sum.Write(body)
-	binary.LittleEndian.PutUint64(u64[:], sum.Sum64())
-	f.Write(u64[:])
-	f.Write(body)
-	return f.Bytes()
-}
-
-// fixedHeader is the byte length of the fields before the variable key.
-const fixedHeader = 4 + 4 + 8 + 4 // magic, version, fingerprint, keyLen
-
-// readKey extracts the embedded key from an entry file without
-// validating the body (index-rebuild use). ok=false on any header
-// anomaly.
-func readKey(path string) (string, bool) {
-	raw, err := os.ReadFile(path)
-	if err != nil || len(raw) < fixedHeader {
-		return "", false
-	}
-	if !bytes.Equal(raw[:4], magic[:]) {
-		return "", false
-	}
-	if binary.LittleEndian.Uint32(raw[4:8]) != Version {
-		return "", false
-	}
-	keyLen := int(binary.LittleEndian.Uint32(raw[16:20]))
-	if keyLen < 0 || len(raw) < fixedHeader+keyLen {
-		return "", false
-	}
-	return string(raw[fixedHeader : fixedHeader+keyLen]), true
-}
-
-// decode validates a framed entry against key and the store fingerprint,
-// returning the body. ok=false on any anomaly.
-func (s *Store) decode(raw []byte, key string) ([]byte, bool) {
-	if len(raw) < fixedHeader {
-		return nil, false
-	}
-	if !bytes.Equal(raw[:4], magic[:]) {
-		return nil, false
-	}
-	if binary.LittleEndian.Uint32(raw[4:8]) != Version {
-		return nil, false
-	}
-	if binary.LittleEndian.Uint64(raw[8:16]) != s.fp {
-		return nil, false
-	}
-	keyLen := int(binary.LittleEndian.Uint32(raw[16:20]))
-	rest := raw[fixedHeader:]
-	if keyLen < 0 || len(rest) < keyLen+16 {
-		return nil, false
-	}
-	if string(rest[:keyLen]) != key {
-		return nil, false
-	}
-	rest = rest[keyLen:]
-	bodyLen := binary.LittleEndian.Uint64(rest[:8])
-	wantSum := binary.LittleEndian.Uint64(rest[8:16])
-	body := rest[16:]
-	if uint64(len(body)) != bodyLen {
-		return nil, false
-	}
-	sum := fnv.New64a()
-	sum.Write(body)
-	if sum.Sum64() != wantSum {
-		return nil, false
-	}
-	return body, true
-}
+// path maps a key to its entry file (see atomicio.KeyPath).
+func (s *Store) path(key string) string { return atomicio.KeyPath(s.dir, key, ext) }
 
 // Get returns the stored payload for key. Any anomaly — missing file,
 // damaged header or body, wrong fingerprint — is a miss; a damaged file
@@ -273,19 +175,13 @@ func (s *Store) decode(raw []byte, key string) ([]byte, bool) {
 // entry's recency (in memory and, best-effort, the file mtime, so LRU
 // order survives restarts).
 func (s *Store) Get(key string) ([]byte, bool) {
-	if s.faults != nil {
-		o := s.faults.At(faultinject.ResultStoreGet)
-		if o.Delay > 0 {
-			time.Sleep(o.Delay)
-		}
-		if o.Err != nil {
-			// An injected read fault is the same silent miss a damaged
-			// frame would be — the caller regenerates.
-			s.mu.Lock()
-			s.misses++
-			s.mu.Unlock()
-			return nil, false
-		}
+	if s.faults.Stall(faultinject.ResultStoreGet) != nil {
+		// An injected read fault is the same silent miss a damaged
+		// frame would be — the caller regenerates.
+		s.mu.Lock()
+		s.misses++
+		s.mu.Unlock()
+		return nil, false
 	}
 	path := s.path(key)
 	s.mu.Lock()
@@ -296,7 +192,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		s.dropLocked(key)
 		return nil, false
 	}
-	body, ok := s.decode(raw, key)
+	body, ok := frame.Decode(key, s.fp, raw)
 	if !ok {
 		s.misses++
 		s.dropLocked(key)
@@ -317,7 +213,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // directory — see either the old entry or the new one, never a torn
 // file, and a power loss after Put returns cannot roll the entry back.
 func (s *Store) Put(key string, payload []byte) error {
-	framed := s.encode(key, payload)
+	framed := frame.Encode(key, s.fp, payload)
 	if err := atomicio.WriteFile(s.path(key), framed, 0o644, s.faults, faultinject.ResultStorePut); err != nil {
 		return fmt.Errorf("resultstore: write %s: %w", key, err)
 	}

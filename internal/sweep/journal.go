@@ -44,14 +44,8 @@ type loadedJournal struct {
 // write wins — results are deterministic, so duplicates agree anyway). A
 // missing file is an empty journal.
 func loadJournal(path string, faults *faultinject.Plane) (*loadedJournal, error) {
-	if faults != nil {
-		o := faults.At(faultinject.JournalLoad)
-		if o.Delay > 0 {
-			time.Sleep(o.Delay)
-		}
-		if o.Err != nil {
-			return nil, fmt.Errorf("sweep: journal: %w", o.Err)
-		}
+	if err := faults.Stall(faultinject.JournalLoad); err != nil {
+		return nil, fmt.Errorf("sweep: journal: %w", err)
 	}
 	lj := &loadedJournal{results: make(map[string]*lab.RunResult)}
 	f, err := os.Open(path)

@@ -26,8 +26,8 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
-	"sync"
 
+	"r3dla/internal/exp"
 	"r3dla/internal/lab"
 	"r3dla/internal/prepcache"
 )
@@ -95,19 +95,13 @@ func (c *Calibration) Spread() float64 {
 
 // Calibrator captures (and memoizes) per-workload calibrations against a
 // cycle-accurate Lab. Safe for concurrent use: concurrent Gets for the
-// same workload block on one capture.
+// same workload share one capture.
 type Calibrator struct {
 	l      *lab.Lab
 	budget uint64
 	cache  *prepcache.Cache // nil: in-memory only
 
-	mu      sync.Mutex
-	entries map[string]*calEntry
-}
-
-type calEntry struct {
-	mu  sync.Mutex
-	cal *Calibration
+	cals exp.Memo[*Calibration]
 }
 
 // NewCalibrator builds a calibrator over l. calibBudget 0 selects
@@ -116,7 +110,7 @@ func NewCalibrator(l *lab.Lab, calibBudget uint64, cache *prepcache.Cache) *Cali
 	if calibBudget == 0 {
 		calibBudget = DefaultCalibBudget
 	}
-	return &Calibrator{l: l, budget: calibBudget, cache: cache, entries: make(map[string]*calEntry)}
+	return &Calibrator{l: l, budget: calibBudget, cache: cache}
 }
 
 // Budget reports the calibration-run budget.
@@ -128,27 +122,12 @@ func (c *Calibrator) Lab() *lab.Lab { return c.l }
 
 // Get returns the calibration for workload, capturing it on first use.
 // Failures (unknown workload, cancellation) are not cached; a later Get
-// retries.
+// retries. A Get whose ctx ends while another caller's capture is in
+// flight returns ctx.Err() at once.
 func (c *Calibrator) Get(ctx context.Context, workload string) (*Calibration, error) {
-	c.mu.Lock()
-	e := c.entries[workload]
-	if e == nil {
-		e = &calEntry{}
-		c.entries[workload] = e
-	}
-	c.mu.Unlock()
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.cal != nil {
-		return e.cal, nil
-	}
-	cal, err := c.capture(ctx, workload)
-	if err != nil {
-		return nil, err
-	}
-	e.cal = cal
-	return cal, nil
+	return c.cals.Do(ctx, workload, func() (*Calibration, error) {
+		return c.capture(ctx, workload)
+	})
 }
 
 // blobKey names the prepcache blob holding one workload's calibration.

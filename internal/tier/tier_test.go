@@ -2,11 +2,14 @@ package tier
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
+	"r3dla/internal/faultinject"
 	"r3dla/internal/lab"
 	"r3dla/internal/prepcache"
 )
@@ -264,6 +267,45 @@ func TestCalibrationCacheReuse(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r1, r2) {
 		t.Fatalf("estimates diverge across processes:\n%+v\n%+v", r1, r2)
+	}
+}
+
+// TestCalibratorCanceledWaiter pins the waiter half of the memo rule on
+// the calibrator: a Get whose context is already canceled, arriving
+// while another caller's capture is in flight, returns context.Canceled
+// at once instead of blocking for that capture and returning its result.
+func TestCalibratorCanceledWaiter(t *testing.T) {
+	const stall = 2 * time.Second
+	plane := faultinject.New(1)
+	plane.MustArm(faultinject.Policy{Point: faultinject.PrepCacheLoad, Mode: faultinject.Delay, Delay: stall, Limit: 1})
+	l, err := lab.New(lab.WithBudget(testBudget), lab.WithPrepCache(t.TempDir()), lab.WithFaults(plane))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCalibrator(l, testBudget, nil)
+
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := c.Get(context.Background(), "mcf")
+		leaderErr <- err
+	}()
+	// The leader's capture is in flight once its prep-cache load stalls.
+	for plane.Fires()[faultinject.PrepCacheLoad] == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	cal, err := c.Get(ctx, "mcf")
+	if took := time.Since(start); took > stall/4 {
+		t.Errorf("canceled Get blocked %v behind the in-flight capture", took)
+	}
+	if !errors.Is(err, context.Canceled) || cal != nil {
+		t.Errorf("canceled Get = (%v, %v), want (nil, context.Canceled)", cal, err)
+	}
+	if err := <-leaderErr; err != nil {
+		t.Fatalf("leader Get: %v", err)
 	}
 }
 
