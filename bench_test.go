@@ -7,17 +7,14 @@ package r3dla_test
 
 import (
 	"context"
-	"net/http/httptest"
 	"runtime"
 	"testing"
 
 	"r3dla"
+	"r3dla/internal/bench"
 	"r3dla/internal/core"
 	"r3dla/internal/emu"
 	"r3dla/internal/exp"
-	"r3dla/internal/fleet"
-	"r3dla/internal/lab"
-	"r3dla/internal/sweep"
 )
 
 const benchBudget = 6_000 // per-simulation budget inside table/figure benches
@@ -192,92 +189,32 @@ func itobench(n int) string {
 }
 
 // ---------------------------------------------------------------------
-// Fleet: distributed sweep throughput. CI runs these and publishes the
-// results as the BENCH_fleet.json artifact — the start of the perf
-// trajectory for the distribution layer.
+// Fleet: distributed sweep throughput. These run bench.FleetSuite, the
+// same defs `r3dla bench -suite fleet` records in BENCH_fleet.json.
 
-// fleetSweepSpec is the fixed grid the fleet benches dispatch: one
-// workload x two presets x two BOQ depths = 4 cells.
-func fleetSweepSpec() sweep.Spec {
-	return sweep.Spec{
-		Workloads: []string{"mcf"},
-		Budget:    benchBudget,
-		Axes: sweep.Axes{
-			Preset:  []string{"dla", "r3"},
-			BOQSize: []int{64, 512},
-		},
-	}
-}
-
-// benchFleetSweep measures one whole sweep per op, with a fresh Lab (and
-// fresh backend servers) each iteration so the singleflight caches don't
-// turn later iterations into cache reads. backends=0 is the in-process
-// reference; otherwise the sweep routes through a fleet pool over that
-// many r3dlad-shaped httptest servers.
-func benchFleetSweep(b *testing.B, nBackends int) {
-	b.Helper()
-	newRunner := func() (sweep.Runner, func()) {
-		if nBackends == 0 {
-			l, err := lab.New(lab.WithBudget(benchBudget))
-			if err != nil {
-				b.Fatal(err)
-			}
-			return l, func() {}
-		}
-		var members []fleet.Backend
-		var servers []*httptest.Server
-		for j := 0; j < nBackends; j++ {
-			l, err := lab.New(lab.WithBudget(benchBudget))
-			if err != nil {
-				b.Fatal(err)
-			}
-			h := lab.NewServer(l)
-			h.Handle("POST /v1/sweeps", sweep.NewHandler(l, h))
-			srv := httptest.NewServer(h)
-			servers = append(servers, srv)
-			r, err := fleet.NewRemote(srv.URL)
-			if err != nil {
-				b.Fatal(err)
-			}
-			members = append(members, r)
-		}
-		pool, err := fleet.NewPool(members)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return pool, func() {
-			pool.Close()
-			for _, srv := range servers {
-				srv.Close()
-			}
+// fleetSweep runs the fleet suite's def with the given name.
+func fleetSweep(b *testing.B, name string) {
+	for _, d := range bench.FleetSuite() {
+		if d.Name == name {
+			d.F(b)
+			return
 		}
 	}
-	spec := fleetSweepSpec()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		runner, cleanup := newRunner()
-		b.StartTimer()
-		if _, err := sweep.Run(context.Background(), runner, spec, sweep.Options{}); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		cleanup()
-		b.StartTimer()
-	}
+	b.Fatalf("no fleet bench %q", name)
 }
 
 // BenchmarkFleetSweepLocal is the single-process reference.
-func BenchmarkFleetSweepLocal(b *testing.B) { benchFleetSweep(b, 0) }
+func BenchmarkFleetSweepLocal(b *testing.B) { fleetSweep(b, "FleetSweep/local") }
 
 // BenchmarkFleetSweep1Backend adds the wire: same grid through one
 // r3dlad; the delta over Local is pure protocol overhead.
-func BenchmarkFleetSweep1Backend(b *testing.B) { benchFleetSweep(b, 1) }
+func BenchmarkFleetSweep1Backend(b *testing.B) { fleetSweep(b, "FleetSweep/1backend") }
 
 // BenchmarkFleetSweep3Backends shards the grid across three r3dlad
 // instances; compare against 1Backend for the scale-out win (in-process
 // servers share this machine's cores, so CI numbers understate a real
 // cluster).
-func BenchmarkFleetSweep3Backends(b *testing.B) { benchFleetSweep(b, 3) }
+func BenchmarkFleetSweep3Backends(b *testing.B) { fleetSweep(b, "FleetSweep/3backends") }
 
 // ---------------------------------------------------------------------
 // Microbenchmarks of the simulator substrate.

@@ -28,6 +28,12 @@
 // simulation. -inflight capacity is split fairly between priority
 // classes (the X-R3DLA-Priority header: interactive or batch).
 //
+// /v1/sweeps and /v1/explore share one set of estimator calibrators
+// (sweep.TierRunners): an analytic or Monte-Carlo request calibrates
+// each (workload, calibration budget) pair once for both endpoints, and
+// with -prep-cache the calibration persists, so a restarted server
+// prices its first estimated cell from a file read.
+//
 // A disconnecting client cancels its in-flight simulation cooperatively
 // (accounted as a 499 in /v1/healthz counters); SIGINT/SIGTERM drain the
 // server gracefully. Several r3dlad instances form a fleet: point
@@ -85,12 +91,9 @@ func main() {
 		}
 		srvOpts = append(srvOpts, lab.WithResultStore(st))
 	}
-	h := lab.NewServer(l, srvOpts...)
-	h.Handle("POST /v1/sweeps", sweep.NewHandler(l, h))
-	h.Handle("POST /v1/explore", dse.NewHandler(l, h))
 	srv := &http.Server{
 		Addr:        *addr,
-		Handler:     h,
+		Handler:     newServer(l, srvOpts...),
 		ReadTimeout: 30 * time.Second,
 	}
 
@@ -114,4 +117,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "r3dlad: shutdown: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// newServer builds the service over l: the lab server plus the two
+// streamed-job endpoints. One set of calibrators serves both, so a sweep
+// and an exploration at the same budget calibrate a workload once.
+func newServer(l *lab.Lab, opts ...lab.ServerOption) *lab.Server {
+	h := lab.NewServer(l, opts...)
+	tiers := &sweep.TierRunners{Lab: l}
+	h.HandleJob("POST /v1/sweeps", sweep.NewHandler(tiers))
+	h.HandleJob("POST /v1/explore", dse.NewHandler(tiers))
+	return h
 }

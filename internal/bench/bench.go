@@ -198,9 +198,7 @@ func newFleetRunner(n int) (sweep.Runner, func(), error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		h := lab.NewServer(l)
-		h.Handle("POST /v1/sweeps", sweep.NewHandler(l, h))
-		srv := httptest.NewServer(h)
+		srv := httptest.NewServer(lab.NewServer(l))
 		servers = append(servers, srv)
 		r, err := fleet.NewRemote(srv.URL)
 		if err != nil {

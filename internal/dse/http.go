@@ -1,145 +1,74 @@
 package dse
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
-	"io"
-	"net/http"
-	"sync"
 
-	"r3dla/internal/exp"
 	"r3dla/internal/lab"
 	"r3dla/internal/sweep"
 )
 
-// StreamLine is one NDJSON line of a POST /v1/explore response: a "cell"
-// line per completed evaluation (in completion order; Done/Total are
-// relative to the current search batch), then exactly one terminal line
-// — "result" carrying the exploration report, or "error".
-type StreamLine struct {
-	Event   string         `json:"event"` // "cell", "result", "error"
-	Done    int            `json:"done,omitempty"`
-	Total   int            `json:"total,omitempty"`
-	Cell    *sweep.Cell    `json:"cell,omitempty"`
-	Run     *lab.RunResult `json:"run,omitempty"`
-	Resumed bool           `json:"resumed,omitempty"`
-	Result  *exp.Report    `json:"result,omitempty"`
-	Error   string         `json:"error,omitempty"`
-}
-
-// NewHandler returns the POST /v1/explore handler over l: the body is an
-// exploration Spec (JSON), the response an NDJSON stream of completed
-// cells followed by the exploration report. Validation failures are
-// proper 400s before the stream commits to 200. Explorations are
-// admitted through g exactly like runs and sweeps; the server journals
-// nothing — cross-request reuse comes from the Lab's singleflight result
-// cache instead.
-func NewHandler(l *lab.Lab, g sweep.Gate) http.Handler {
-	tiers := &sweep.TierRunners{Lab: l}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", lab.ErrInvalid, err))
-			return
-		}
+// NewHandler returns the POST /v1/explore job over t's runners: the body
+// is an exploration Spec (JSON), the stream one sweep.StreamLine "cell"
+// line per completed evaluation (Done/Total relative to the current
+// search batch) followed by the exploration report. Mount it with
+// lab.Server.HandleJob, which owns admission and the stream. Validation
+// failures are 400s before the stream commits to 200; the budget cap
+// falls after the space is opened. The server journals nothing:
+// cross-request reuse comes from the Lab's singleflight result cache
+// instead.
+func NewHandler(t *sweep.TierRunners) lab.JobHandler {
+	return func(body []byte) (lab.Job, error) {
 		spec, err := ParseSpec(body)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+			return lab.Job{}, err
 		}
-		// Normalize and open the space up front so bad strategies, bad
-		// axes and oversized budgets are 400s with field-level messages,
-		// not mid-stream errors.
+		// Normalize and open the space up front so bad strategies and
+		// bad axes are 400s with field-level messages, not mid-stream
+		// errors.
 		spec, err = spec.normalize()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+			return lab.Job{}, err
 		}
 		if _, err := NewSpace(spec.Space); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+			return lab.Job{}, err
 		}
-		if g != nil {
-			if max := g.MaxBudget(); max > 0 && spec.Space.Budget > max {
-				writeError(w, http.StatusBadRequest,
-					fmt.Errorf("%w: budget %d exceeds server cap %d", lab.ErrInvalid, spec.Space.Budget, max))
-				return
-			}
-		}
+		job := lab.Job{Budget: spec.Space.Budget}
 
-		// Resolve the runners before the stream commits to 200: the base
-		// runner follows the space's own fidelity (an all-analytic or
-		// all-MC exploration runs entirely on an estimator); a ladder
-		// exploration additionally gets the two estimator tiers, seeded by
-		// the exploration seed. Resolution only builds calibrator handles —
-		// no simulation happens until cells run.
-		runner, err := tiers.Runner(spec.Space.Fidelity, spec.Space.Budget, uint64(spec.Seed))
+		// The base runner follows the space's own fidelity (an
+		// all-analytic or all-MC exploration runs entirely on an
+		// estimator); a ladder exploration additionally gets the two
+		// estimator tiers, seeded by the exploration seed. Resolution
+		// only builds calibrator handles: no simulation happens until
+		// cells run.
+		seed := uint64(spec.Seed)
+		runner, err := t.Runner(spec.Space.Fidelity, spec.Space.Budget, seed)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+			return job, err
 		}
-		var topts *Tiers
+		var tiers *Tiers
 		if spec.Fidelity == FidelityLadder {
-			analytic, aerr := tiers.Runner(sweep.TierAnalytic, spec.Space.Budget, uint64(spec.Seed))
-			mc, merr := tiers.Runner(sweep.TierMC, spec.Space.Budget, uint64(spec.Seed))
+			analytic, aerr := t.Runner(sweep.TierAnalytic, spec.Space.Budget, seed)
+			mc, merr := t.Runner(sweep.TierMC, spec.Space.Budget, seed)
 			if aerr != nil || merr != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("%w: fidelity ladder tiers unavailable", lab.ErrInvalid))
-				return
+				return job, fmt.Errorf("%w: fidelity ladder tiers unavailable", lab.ErrInvalid)
 			}
-			topts = &Tiers{Analytic: analytic, MC: mc}
+			tiers = &Tiers{Analytic: analytic, MC: mc}
 		}
-
-		var release func()
-		if g != nil {
-			var ok bool
-			if release, ok = g.Admit(w, r); !ok {
-				return
-			}
-			defer release()
-		}
-
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		flusher, _ := w.(http.Flusher)
-		var mu sync.Mutex
-		enc := json.NewEncoder(w)
-		emit := func(line StreamLine) {
-			mu.Lock()
-			defer mu.Unlock()
-			enc.Encode(line)
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-
-		res, err := Explore(r.Context(), runner, spec, Options{
-			Progress: func(ev sweep.Event) {
+		job.Run = func(ctx context.Context, emit func(any)) (any, error) {
+			progress := func(ev sweep.Event) {
 				c := ev.Cell
-				emit(StreamLine{
+				emit(sweep.StreamLine{
 					Event: "cell", Done: ev.Done, Total: ev.Total,
 					Cell: &c, Run: ev.Result, Resumed: ev.Resumed,
 				})
-			},
-			Tiers: topts,
-		})
-		if g != nil {
-			g.Observe(r.Context(), err)
+			}
+			res, err := Explore(ctx, runner, spec, Options{Progress: progress, Tiers: tiers})
+			if err != nil {
+				return nil, err
+			}
+			return res.Report(), nil
 		}
-		if err != nil {
-			emit(StreamLine{Event: "error", Error: err.Error()})
-			return
-		}
-		emit(StreamLine{Event: "result", Result: res.Report()})
-	})
-}
-
-// writeError mirrors the lab server's error body shape.
-func writeError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(struct {
-		Error string `json:"error"`
-	}{err.Error()})
+		return job, nil
+	}
 }

@@ -9,10 +9,11 @@ import (
 	"testing"
 
 	"r3dla/internal/lab"
+	"r3dla/internal/sweep"
 )
 
 // newTestServer builds the service shape cmd/r3dlad wires: the lab
-// server with the explore endpoint mounted as an extension route.
+// server with the explore endpoint mounted as a streamed job.
 func newTestServer(t *testing.T, opts ...lab.ServerOption) (*httptest.Server, *lab.Lab) {
 	t.Helper()
 	l, err := lab.New(lab.WithBudget(2000), lab.WithJobs(2))
@@ -20,7 +21,7 @@ func newTestServer(t *testing.T, opts ...lab.ServerOption) (*httptest.Server, *l
 		t.Fatal(err)
 	}
 	h := lab.NewServer(l, opts...)
-	h.Handle("POST /v1/explore", NewHandler(l, h))
+	h.HandleJob("POST /v1/explore", NewHandler(&sweep.TierRunners{Lab: l}))
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 	return srv, l
@@ -50,11 +51,11 @@ func TestExploreEndpointStreams(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("content-type %q", ct)
 	}
-	var lines []StreamLine
+	var lines []sweep.StreamLine
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		var line StreamLine
+		var line sweep.StreamLine
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}

@@ -25,7 +25,7 @@ func newBackendServer(t *testing.T, mw func(http.Handler) http.Handler) (*httpte
 		t.Fatal(err)
 	}
 	h := lab.NewServer(l)
-	h.Handle("POST /v1/sweeps", sweep.NewHandler(l, h))
+	h.HandleJob("POST /v1/sweeps", sweep.NewHandler(&sweep.TierRunners{Lab: l}))
 	var handler http.Handler = h
 	if mw != nil {
 		handler = mw(h)

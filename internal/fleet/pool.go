@@ -34,7 +34,6 @@ type Pool struct {
 	retries      int           // max attempts per request
 	hedge        time.Duration // 0 = no hedging
 	probeEvery   time.Duration
-	probeTimeout time.Duration
 	maxBackoff   time.Duration
 	jobs         chan struct{} // total-dispatch semaphore; nil = unlimited
 	brkThreshold int           // consecutive hard faults to open a member's breaker (0 = disabled)
@@ -63,6 +62,9 @@ type member struct {
 	lastErr   error
 }
 
+// probeTimeout caps each health and stats probe.
+const probeTimeout = 3 * time.Second
+
 // PoolOption configures a Pool.
 type PoolOption func(*Pool)
 
@@ -90,15 +92,6 @@ func WithProbeEvery(d time.Duration) PoolOption {
 	return func(p *Pool) {
 		if d > 0 {
 			p.probeEvery = d
-		}
-	}
-}
-
-// WithProbeTimeout caps each health probe (default 3s).
-func WithProbeTimeout(d time.Duration) PoolOption {
-	return func(p *Pool) {
-		if d > 0 {
-			p.probeTimeout = d
 		}
 	}
 }
@@ -141,7 +134,6 @@ func NewPool(backends []Backend, opts ...PoolOption) (*Pool, error) {
 	p := &Pool{
 		retries:      3,
 		probeEvery:   5 * time.Second,
-		probeTimeout: 3 * time.Second,
 		brkThreshold: 5,
 		stop:         make(chan struct{}),
 	}
@@ -615,7 +607,7 @@ func (p *Pool) probeAll() {
 	for _, m := range p.members {
 		if m.healthy.Load() {
 			if lr, ok := m.b.(loadReporter); ok {
-				ctx, cancel := context.WithTimeout(context.Background(), p.probeTimeout)
+				ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 				if st, err := lr.Stats(ctx); err == nil {
 					m.load.Store(st.Inflight)
 				} else {
@@ -634,7 +626,7 @@ func (p *Pool) probeAll() {
 		if !due {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), p.probeTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 		err := m.b.Check(ctx)
 		cancel()
 		if err == nil {

@@ -278,7 +278,8 @@ func (r *Remote) Experiment(ctx context.Context, id string) (*lab.Report, error)
 // forwarding each NDJSON cell line to onCell (may be nil) and returning
 // the terminal aggregate report. The pool routes sweeps cell-by-cell for
 // balancing and retry; Sweep is the coarse-grained alternative when one
-// backend should own the entire grid (the CI probe drives it).
+// backend should own the entire grid. TestRemoteWholeSweep pins its
+// report against a local sweep's.
 func (r *Remote) Sweep(ctx context.Context, spec sweep.Spec, onCell func(sweep.StreamLine)) (*lab.Report, error) {
 	rctx, cancel := r.reqCtx(ctx)
 	defer cancel()

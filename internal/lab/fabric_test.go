@@ -294,9 +294,9 @@ func TestServerPriorityAdmission(t *testing.T) {
 }
 
 // TestServerObserveIdempotent pins the outcome-accounting fix: however
-// many layers classify one request (extension Observe plus the server's
-// own finish paths), each request moves completed/canceled by at most
-// one — table-driven against /v1/stats.
+// many layers classify one request (a handler's own observe plus the
+// server's finish paths), each request moves completed/canceled by at
+// most one — table-driven against /v1/stats.
 func TestServerObserveIdempotent(t *testing.T) {
 	canceledErr := context.Canceled
 	for _, tc := range []struct {
@@ -308,15 +308,15 @@ func TestServerObserveIdempotent(t *testing.T) {
 		{
 			name: "double cancel observation",
 			handle: func(s *Server, w http.ResponseWriter, r *http.Request) {
-				s.Observe(r.Context(), canceledErr)
-				s.Observe(r.Context(), canceledErr)
+				s.observe(r.Context(), canceledErr)
+				s.observe(r.Context(), canceledErr)
 			},
 			wantCanceled: 1,
 		},
 		{
 			name: "extension observe then server finish",
 			handle: func(s *Server, w http.ResponseWriter, r *http.Request) {
-				s.Observe(r.Context(), canceledErr)
+				s.observe(r.Context(), canceledErr)
 				s.finish(w, r, canceledErr)
 			},
 			wantCanceled: 1,
@@ -324,23 +324,23 @@ func TestServerObserveIdempotent(t *testing.T) {
 		{
 			name: "double success observation",
 			handle: func(s *Server, w http.ResponseWriter, r *http.Request) {
-				s.Observe(r.Context(), nil)
-				s.Observe(r.Context(), nil)
+				s.observe(r.Context(), nil)
+				s.observe(r.Context(), nil)
 			},
 			wantCompleted: 1,
 		},
 		{
 			name: "first classification wins",
 			handle: func(s *Server, w http.ResponseWriter, r *http.Request) {
-				s.Observe(r.Context(), nil)
-				s.Observe(r.Context(), canceledErr)
+				s.observe(r.Context(), nil)
+				s.observe(r.Context(), canceledErr)
 			},
 			wantCompleted: 1,
 		},
 		{
 			name: "separate requests count separately",
 			handle: func(s *Server, w http.ResponseWriter, r *http.Request) {
-				s.Observe(r.Context(), canceledErr)
+				s.observe(r.Context(), canceledErr)
 			},
 			wantCanceled: 2, // the handler runs twice below
 		},
@@ -351,9 +351,9 @@ func TestServerObserveIdempotent(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := NewServer(l)
-			s.Handle("POST /v1/ext", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			s.mux.HandleFunc("POST /v1/ext", func(w http.ResponseWriter, r *http.Request) {
 				tc.handle(s, w, r)
-			}))
+			})
 			srv := httptest.NewServer(s)
 			defer srv.Close()
 			calls := 1

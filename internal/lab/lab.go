@@ -159,6 +159,11 @@ func (l *Lab) WithProgress(f func(Event)) *Lab {
 	return &Lab{c: l.c.WithProgress(f)}
 }
 
+// PrepCache returns the persistent preparation cache (nil when
+// WithPrepCache was not given), so layers above the Lab can persist
+// their own derived artifacts next to it.
+func (l *Lab) PrepCache() *prepcache.Cache { return l.prep }
+
 // PrepCount reports how many times preparation actually executed for a
 // workload — at most 1 under any concurrency (singleflight
 // instrumentation; the service smoke tests observe it).

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -61,9 +62,10 @@ const ResultsFingerprint uint64 = 1
 //	POST /v1/experiments/{id}     regenerate one artifact (?stream=1 for NDJSON progress)
 //	POST /v1/runs                 one simulation: RunRequest -> RunResult (?stream=1 likewise)
 //
-// Identical concurrent /v1/runs coalesce server-side into one shared
-// simulation (see runShared), and — when a result store is configured —
-// finished answers persist across restarts.
+// HandleJob mounts further NDJSON endpoints (r3dlad's /v1/sweeps and
+// /v1/explore). Identical concurrent /v1/runs coalesce server-side into
+// one shared simulation (see runShared), and — when a result store is
+// configured — finished answers persist across restarts.
 type Server struct {
 	lab   *Lab
 	mux   *http.ServeMux
@@ -175,37 +177,53 @@ func NewServer(l *Lab, opts ...ServerOption) *Server {
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Every request carries an outcome cell, so classification into the
-	// completed/canceled counters is idempotent no matter how many layers
-	// (extension handlers calling Observe plus the server's own finish
-	// paths) classify the same request.
+	// completed/canceled counters is idempotent no matter how many
+	// layers classify the same request.
 	r = r.WithContext(context.WithValue(r.Context(), outcomeKey{}, new(outcomeCell)))
 	s.mux.ServeHTTP(w, r)
 }
 
-// Handle mounts an extension route (the sweep endpoint) on the server's
-// mux. Extension handlers share the server's Lab, admission policy and
-// request counters through Admit/Observe.
-func (s *Server) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
-
-// Admit reserves an admission slot for an extension handler's simulation
-// request, exactly as the built-in run/experiment endpoints do: when the
-// server is at capacity for the request's class (the PriorityHeader on
-// r) the client gets 503 and ok is false; otherwise the request counts
-// as active until release is called.
-func (s *Server) Admit(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
-	return s.admitRequest(w, r)
+// Job is one streamed request of an endpoint mounted with HandleJob.
+// Run does the work, calling emit for each progress line; its result
+// becomes the terminal "result" line and its error the "error" line.
+type Job struct {
+	Budget uint64 // per-cell budget, checked against WithMaxBudget's cap
+	Run    func(ctx context.Context, emit func(line any)) (any, error)
 }
 
-// Observe classifies an extension request's outcome into the healthz
-// counters: nil marks it completed, a cancellation (the client went away)
-// marks it canceled. It does not write a response. Accounting is
-// idempotent per request: the first classification wins, repeats are
-// no-ops.
-func (s *Server) Observe(ctx context.Context, err error) { s.observe(ctx, err) }
+// JobHandler validates a request body into a Job; an error is a 400. A
+// handler that fails after reading the budget may return it in the Job
+// alongside the error, and the cap error then wins: the handler decides
+// where in its validation the cap check falls.
+type JobHandler func(body []byte) (Job, error)
 
-// MaxBudget reports the per-request budget cap (0 = unlimited), so
-// extension handlers enforce the same admission policy as POST /v1/runs.
-func (s *Server) MaxBudget() uint64 { return s.maxBudget }
+// HandleJob mounts a streamed-job endpoint (POST /v1/sweeps, POST
+// /v1/explore). The server owns everything around parse: the 1 MiB body
+// limit, 400s for bad bodies and budgets over the cap, admission (503),
+// and the NDJSON stream with its single terminal line.
+func (s *Server) HandleJob(pattern string, parse JobHandler) {
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", ErrInvalid, err))
+			return
+		}
+		job, err := parse(body)
+		if cerr := s.checkBudget(job.Budget); cerr != nil {
+			err = cerr
+		}
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		release, ok := s.admitRequest(w, r)
+		if !ok {
+			return
+		}
+		defer release()
+		s.stream(w, r, job.Run)
+	})
+}
 
 // ------------------------------------------------------------- plumbing
 
@@ -239,11 +257,19 @@ func errorStatus(ctx context.Context, err error) int {
 	}
 }
 
+// checkBudget enforces the per-request budget cap.
+func (s *Server) checkBudget(budget uint64) error {
+	if s.maxBudget > 0 && budget > s.maxBudget {
+		return fmt.Errorf("%w: budget %d exceeds server cap %d", ErrInvalid, budget, s.maxBudget)
+	}
+	return nil
+}
+
 // outcomeKey carries a request's outcomeCell in its context.
 type outcomeKey struct{}
 
 // outcomeCell latches the first outcome classification for one request,
-// making repeated Observe/finish calls on the same request idempotent.
+// making repeated observe/finish calls on the same request idempotent.
 type outcomeCell struct{ done atomic.Bool }
 
 // observe classifies a request's outcome into the completed/canceled
@@ -477,9 +503,8 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	if r.URL.Query().Get("stream") != "" {
-		s.streamRequest(w, r, func(l *Lab) (any, error) {
-			rep, err := l.Experiment(r.Context(), ExperimentRequest{ID: id})
-			return rep, err
+		s.stream(w, r, func(ctx context.Context, emit func(any)) (any, error) {
+			return s.lab.WithProgress(progressLines(emit)).Experiment(ctx, ExperimentRequest{ID: id})
 		})
 		return
 	}
@@ -528,9 +553,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", ErrInvalid, err))
 		return
 	}
-	if s.maxBudget > 0 && req.Budget > s.maxBudget {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("%w: budget %d exceeds server cap %d", ErrInvalid, req.Budget, s.maxBudget))
+	if err := s.checkBudget(req.Budget); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	// Resolve the request up front so validation failures are proper 400s
@@ -559,11 +583,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// to a cold run's response (RunResult's JSON encoding is
 	// deterministic).
 	if res, ok := s.storeGet(key); ok {
-		s.observe(r.Context(), nil)
 		if stream {
-			s.writeStreamResult(w, res)
+			s.stream(w, r, func(context.Context, func(any)) (any, error) { return res, nil })
 			return
 		}
+		s.observe(r.Context(), nil)
 		writeJSON(w, http.StatusOK, res)
 		return
 	}
@@ -575,7 +599,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	if stream {
-		s.streamRun(w, r, key, req)
+		// Progress events come from the shared flight, which another
+		// client may have started.
+		s.stream(w, r, func(ctx context.Context, emit func(any)) (any, error) {
+			return s.runShared(ctx, key, req, progressLines(emit))
+		})
 		return
 	}
 
@@ -592,7 +620,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 // StreamLine is one NDJSON line of a ?stream=1 response: progress events
 // ("prep", "run", "exp") as work happens, then exactly one terminal line
-// ("result" with the payload, or "error").
+// ("result" with the payload, or "error"). Streamed jobs emit their own
+// progress lines and end with the same terminal line.
 type StreamLine struct {
 	Event     string  `json:"event"`
 	Workload  string  `json:"workload,omitempty"`
@@ -603,33 +632,9 @@ type StreamLine struct {
 	Error     string  `json:"error,omitempty"`
 }
 
-// writeStreamResult answers a ?stream=1 request whose result needed no
-// computation (a store hit): just the terminal line.
-func (s *Server) writeStreamResult(w http.ResponseWriter, res *RunResult) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	json.NewEncoder(w).Encode(StreamLine{Event: "result", Result: res})
-}
-
-// streamRun is the ?stream=1 path of /v1/runs, through the coalescing
-// layer: progress events come from the shared flight (which may have
-// been started by another client).
-func (s *Server) streamRun(w http.ResponseWriter, r *http.Request, key string, req RunRequest) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	var mu sync.Mutex
-	enc := json.NewEncoder(w)
-	emit := func(line StreamLine) {
-		mu.Lock()
-		defer mu.Unlock()
-		enc.Encode(line)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-
-	res, err := s.runShared(r.Context(), key, req, func(ev Event) {
+// progressLines renders engine events as StreamLines on emit.
+func progressLines(emit func(any)) func(Event) {
+	return func(ev Event) {
 		emit(StreamLine{
 			Event:     ev.Stage,
 			Workload:  ev.Workload,
@@ -637,26 +642,19 @@ func (s *Server) streamRun(w http.ResponseWriter, r *http.Request, key string, r
 			ID:        ev.Exp,
 			ElapsedMS: float64(ev.Elapsed.Microseconds()) / 1000,
 		})
-	})
-	if err != nil {
-		s.observe(r.Context(), err)
-		emit(StreamLine{Event: "error", Error: err.Error()})
-		return
 	}
-	s.observe(r.Context(), nil)
-	emit(StreamLine{Event: "result", Result: res})
 }
 
-// streamRequest runs f with a progress-observing Lab and writes NDJSON:
-// one line per engine event, then the terminal result/error line. (The
-// experiment endpoint's streaming path; runs go through streamRun.)
-func (s *Server) streamRequest(w http.ResponseWriter, r *http.Request, f func(l *Lab) (any, error)) {
+// stream is the one NDJSON writer: it commits a 200, runs run with a
+// locked, flushing emit, classifies the outcome and writes the terminal
+// "result" or "error" line.
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, run func(ctx context.Context, emit func(any)) (any, error)) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	var mu sync.Mutex
 	enc := json.NewEncoder(w)
-	emit := func(line StreamLine) {
+	emit := func(line any) {
 		mu.Lock()
 		defer mu.Unlock()
 		enc.Encode(line)
@@ -664,22 +662,11 @@ func (s *Server) streamRequest(w http.ResponseWriter, r *http.Request, f func(l 
 			flusher.Flush()
 		}
 	}
-
-	ll := s.lab.WithProgress(func(ev Event) {
-		emit(StreamLine{
-			Event:     ev.Stage,
-			Workload:  ev.Workload,
-			Key:       ev.Key,
-			ID:        ev.Exp,
-			ElapsedMS: float64(ev.Elapsed.Microseconds()) / 1000,
-		})
-	})
-	res, err := f(ll)
+	res, err := run(r.Context(), emit)
+	s.observe(r.Context(), err)
 	if err != nil {
-		s.observe(r.Context(), err)
 		emit(StreamLine{Event: "error", Error: err.Error()})
 		return
 	}
-	s.observe(r.Context(), nil)
 	emit(StreamLine{Event: "result", Result: res})
 }

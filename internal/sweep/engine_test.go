@@ -328,3 +328,46 @@ func TestTierRunnersDeterministic(t *testing.T) {
 		t.Fatalf("two runners from one factory disagree:\n%+v\n%+v", a, b)
 	}
 }
+
+// TestTierRunnersPersistCalibration: a calibration captured through one
+// Lab's TierRunners lands in that Lab's prep cache, so a second Lab on
+// the same directory (a restarted server) prices its first analytic cell
+// from a file read, without the three anchor simulations. The anchors
+// are measured on skeletons trained at the Lab's budget, so a Lab with
+// another budget on the same directory must recapture, and must not
+// evict the first Lab's calibration.
+func TestTierRunnersPersistCalibration(t *testing.T) {
+	dir := t.TempDir()
+	req := lab.RunRequest{Workload: "mcf", Config: lab.ConfigSpec{Preset: "r3"}, Budget: 2000}
+	rows := []struct {
+		labBudget uint64
+		wantRuns  int
+	}{
+		{2000, 3}, // cold: capture and persist
+		{2000, 0}, // restart: file read
+		{4000, 3}, // other training budget: other skeletons, recapture
+		{2000, 0}, // the first calibration is still on disk
+	}
+	results := make([]*lab.RunResult, len(rows))
+	for i, row := range rows {
+		l, err := lab.New(lab.WithBudget(row.labBudget), lab.WithJobs(2), lab.WithPrepCache(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := (&TierRunners{Lab: l}).Runner(TierAnalytic, req.Budget, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if results[i], err = r.Run(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+		if got := l.RunCount(); got != row.wantRuns {
+			t.Fatalf("lab %d (budget %d) executed %d simulations, want %d", i, row.labBudget, got, row.wantRuns)
+		}
+	}
+	for _, i := range []int{1, 3} {
+		if !reflect.DeepEqual(results[0], results[i]) {
+			t.Fatalf("persisted calibration prices differently:\n%+v\n%+v", results[0], results[i])
+		}
+	}
+}

@@ -2,27 +2,12 @@ package sweep
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
 	"sync"
 
 	"r3dla/internal/exp"
 	"r3dla/internal/lab"
 	"r3dla/internal/tier"
 )
-
-// Gate is the slice of the r3dlad server a sweep handler shares: request
-// admission (503 at capacity, class-aware via the request's priority
-// header), outcome accounting for /v1/healthz, and the per-request
-// budget cap. *lab.Server implements it; a nil Gate means unlimited
-// admission and no budget cap (library/test use).
-type Gate interface {
-	Admit(w http.ResponseWriter, r *http.Request) (release func(), ok bool)
-	Observe(ctx context.Context, err error)
-	MaxBudget() uint64
-}
 
 // StreamLine is one NDJSON line of a POST /v1/sweeps response: a "cell"
 // line per completed cell (in completion order), then exactly one
@@ -38,87 +23,46 @@ type StreamLine struct {
 	Error   string         `json:"error,omitempty"`
 }
 
-// NewHandler returns the POST /v1/sweeps handler over l: the body is a
-// sweep Spec (JSON), the response an NDJSON stream of completed cells
-// followed by the aggregate report. Validation failures are proper 400s
-// before the stream commits to 200. Sweeps are admitted through g exactly
-// like runs; the server journals nothing — cross-request reuse comes from
-// the Lab's singleflight result cache instead.
-func NewHandler(l *lab.Lab, g Gate) http.Handler {
-	tiers := &TierRunners{Lab: l}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", lab.ErrInvalid, err))
-			return
-		}
+// NewHandler returns the POST /v1/sweeps job over t's runners: the body
+// is a sweep Spec (JSON), the stream one "cell" line per completed cell
+// followed by the aggregate report. Mount it with lab.Server.HandleJob,
+// which owns admission and the stream. Validation failures are 400s
+// before the stream commits to 200; the budget cap falls between parsing
+// and expansion. The server journals nothing: cross-request reuse comes
+// from the Lab's singleflight result cache instead.
+func NewHandler(t *TierRunners) lab.JobHandler {
+	return func(body []byte) (lab.Job, error) {
 		spec, err := ParseSpec(body)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+			return lab.Job{}, err
 		}
-		if g != nil {
-			if max := g.MaxBudget(); max > 0 && spec.Budget > max {
-				writeError(w, http.StatusBadRequest,
-					fmt.Errorf("%w: budget %d exceeds server cap %d", lab.ErrInvalid, spec.Budget, max))
-				return
-			}
-		}
-		// Expand up front so bad grids are 400s with field-level messages,
-		// not mid-stream errors; the cells are reused below.
+		job := lab.Job{Budget: spec.Budget}
+		// Expand up front so bad grids are 400s with field-level
+		// messages, not mid-stream errors; the cells are reused below.
 		cells, err := spec.Expand()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+			return job, err
 		}
-
-		var release func()
-		if g != nil {
-			var ok bool
-			if release, ok = g.Admit(w, r); !ok {
-				return
-			}
-			defer release()
-		}
-
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		flusher, _ := w.(http.Flusher)
-		var mu sync.Mutex
-		enc := json.NewEncoder(w)
-		emit := func(line StreamLine) {
-			mu.Lock()
-			defer mu.Unlock()
-			enc.Encode(line)
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-
-		runner, err := tiers.Runner(spec.Fidelity, spec.Budget, 0)
+		runner, err := t.Runner(spec.Fidelity, spec.Budget, 0)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+			return job, err
 		}
-
-		res, err := RunCells(r.Context(), runner, spec, cells, Options{
-			Progress: func(ev Event) {
+		job.Run = func(ctx context.Context, emit func(any)) (any, error) {
+			progress := func(ev Event) {
 				c := ev.Cell
 				emit(StreamLine{
 					Event: "cell", Done: ev.Done, Total: ev.Total,
 					Cell: &c, Run: ev.Result, Resumed: ev.Resumed,
 				})
-			},
-		})
-		if g != nil {
-			g.Observe(r.Context(), err)
+			}
+			res, err := RunCells(ctx, runner, spec, cells, Options{Progress: progress})
+			if err != nil {
+				return nil, err
+			}
+			return res.Report(), nil
 		}
-		if err != nil {
-			emit(StreamLine{Event: "error", Error: err.Error()})
-			return
-		}
-		emit(StreamLine{Event: "result", Result: res.Report()})
-	})
+		return job, nil
+	}
 }
 
 // TierRunners resolves fidelity names to Runners over one Lab, sharing
@@ -160,19 +104,8 @@ func (t *TierRunners) calibrator(budget uint64) *tier.Calibrator {
 	}
 	c := t.cals[cb]
 	if c == nil {
-		c = tier.NewCalibrator(t.Lab, cb, nil)
+		c = tier.NewCalibrator(t.Lab, cb, t.Lab.PrepCache())
 		t.cals[cb] = c
 	}
 	return c
-}
-
-// writeError mirrors the lab server's error body shape.
-func writeError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(struct {
-		Error string `json:"error"`
-	}{err.Error()})
 }

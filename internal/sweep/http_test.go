@@ -2,19 +2,17 @@ package sweep
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"r3dla/internal/lab"
 )
 
 // newTestServer builds the full service shape cmd/r3dlad wires: the lab
-// server with the sweep endpoint mounted as an extension route.
+// server with the sweep endpoint mounted as a streamed job.
 func newTestServer(t *testing.T, opts ...lab.ServerOption) (*httptest.Server, *lab.Lab) {
 	t.Helper()
 	l, err := lab.New(lab.WithBudget(2000), lab.WithJobs(2))
@@ -22,7 +20,7 @@ func newTestServer(t *testing.T, opts ...lab.ServerOption) (*httptest.Server, *l
 		t.Fatal(err)
 	}
 	h := lab.NewServer(l, opts...)
-	h.Handle("POST /v1/sweeps", NewHandler(l, h))
+	h.HandleJob("POST /v1/sweeps", NewHandler(&TierRunners{Lab: l}))
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 	return srv, l
@@ -115,57 +113,4 @@ func TestSweepEndpointValidation(t *testing.T) {
 			t.Errorf("%s: error %q misses %q", tc.name, e.Error, tc.want)
 		}
 	}
-}
-
-// TestSweepEndpointAdmission asserts sweeps consume the same admission
-// slots as runs: a server with zero free capacity answers 503.
-func TestSweepEndpointAdmission(t *testing.T) {
-	srv, _ := newTestServer(t, lab.WithMaxInflight(1))
-
-	// Occupy the only slot with a long cancelable run, then try to admit
-	// a sweep; cancel the run once the 503 is observed so the test (and
-	// the server shutdown) doesn't wait out the long simulation.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/runs",
-		strings.NewReader(`{"workload":"mcf","config":{"preset":"dla"},"budget":30000000}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
-			resp.Body.Close()
-		}
-	}()
-
-	// Wait until the run actually holds the slot, then the sweep gets 503.
-	for i := 0; ; i++ {
-		var h lab.Health
-		resp, err := http.Get(srv.URL + "/v1/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&h)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h.Active >= 1 {
-			break
-		}
-		if i >= 500 {
-			t.Fatal("long run never became active")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	resp := postSweep(t, srv.URL, `{"workloads":["mcf"],"budget":2000}`)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("sweep at capacity: status %d, want 503", resp.StatusCode)
-	}
-	cancel()
-	<-done
 }

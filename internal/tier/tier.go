@@ -131,8 +131,12 @@ func (c *Calibrator) Get(ctx context.Context, workload string) (*Calibration, er
 }
 
 // blobKey names the prepcache blob holding one workload's calibration.
-func (c *Calibrator) blobKey(workload string) string {
-	return fmt.Sprintf("tiercal-%s@%d", workload, c.budget)
+// The anchors are measured on p's skeletons, which depend on the
+// training-run length as well as the program, so that length is part of
+// the key, as the Lab's training budget is part of the prep entry's key:
+// Labs with different budgets sharing one directory keep separate blobs.
+func (c *Calibrator) blobKey(p *lab.Prepared) string {
+	return fmt.Sprintf("tiercal-%s@%d-t%d", p.W.Name, c.budget, p.Prof.Insts)
 }
 
 // capture runs the calibration: the Appendix B frontend profile plus one
@@ -144,7 +148,7 @@ func (c *Calibrator) capture(ctx context.Context, workload string) (*Calibration
 		return nil, err
 	}
 	fp := prepcache.Fingerprint(p.Prog)
-	key := c.blobKey(workload)
+	key := c.blobKey(p)
 	if c.cache != nil {
 		if raw, ok := c.cache.LoadBlob(key, fp); ok {
 			var cal Calibration
