@@ -7,10 +7,12 @@
 //
 // The headline benchmark is CoreRun/mcf_r3 — one warm-prep cycle-accurate
 // single-cell simulation, the unit of work every sweep, experiment and
-// fleet request fans out over. The committed file records both the seed
-// core (Baseline section, measured before the optimization pass and
-// carried forward verbatim) and the current core, so the speedup is a
-// reviewable artifact rather than a claim.
+// fleet request fans out over. CoreRun also covers one workload of each
+// other suite (crono bfs, npb cg), so the cycle loop is not tuned on mcf
+// alone. The committed file records both the seed core (Baseline
+// section, measured before the optimization pass and carried forward
+// verbatim) and the current core, so the speedup is a reviewable
+// artifact rather than a claim.
 package bench
 
 import (
@@ -43,68 +45,57 @@ type Def struct {
 // benchmarks. Changing it invalidates the committed trajectory.
 const CoreBudget = 10_000
 
-// coreWorkload is the workload the core suite exercises: mcf is the
+// coreRunMinIters floors every CoreRun member: one cell takes several
+// milliseconds, so 30 iterations run each member for about 0.2 s or more
+// and a single preemption on a shared host no longer decides its ns/op.
+const coreRunMinIters = 30
+
+// CoreSuite returns the core benchmarks in presentation order. mcf is the
 // paper's poster child (highest L2 MPKI in the suite, heavy look-ahead
-// activity, all four R3 mechanisms engaged under the r3 preset).
-const coreWorkload = "mcf"
-
-// prepFor prepares coreWorkload once at the suite budget; every
-// iteration then measures simulation only, never preparation.
-func prepFor(tb testing.TB) *lab.Prepared {
-	l, err := lab.New(lab.WithBudget(CoreBudget))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	p, err := l.Prepare(context.Background(), coreWorkload)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return p
-}
-
-// CoreSuite returns the core benchmarks in presentation order.
+// activity, all four R3 mechanisms engaged under the r3 preset); bfs and
+// cg stand for the crono and npb suites.
 func CoreSuite() []Def {
-	var prep *lab.Prepared
-	getPrep := func(b *testing.B) *lab.Prepared {
+	preps := map[string]*lab.Prepared{}
+	// getPrep prepares a workload once at the suite budget; every
+	// iteration then measures simulation only, never preparation.
+	getPrep := func(b *testing.B, workload string) *lab.Prepared {
 		b.Helper()
-		if prep == nil {
-			prep = prepFor(b)
+		if p := preps[workload]; p != nil {
+			return p
 		}
-		return prep
+		l, err := lab.New(lab.WithBudget(CoreBudget))
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := l.Prepare(context.Background(), workload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		preps[workload] = p
+		return p
 	}
-	runOnce := func(b *testing.B, opt core.Options) {
-		p := getPrep(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sys := core.NewSystemWithMemory(p.Prog, p.Image().Fork(), p.Set, p.Prof, opt)
-			if r := sys.Run(CoreBudget); r.MT.Committed == 0 {
-				b.Fatal("no instructions committed")
-			}
-		}
+	coreRun := func(workload string, opt core.Options) func(b *testing.B) {
+		return func(b *testing.B) { runOnce(b, getPrep(b, workload), opt) }
 	}
 	return []Def{
 		{
 			// The headline: one full R3-DLA cell, system construction +
 			// cycle loop, at a warm prep.
-			Name: "CoreRun/mcf_r3",
-			F:    func(b *testing.B) { runOnce(b, core.R3Options()) },
+			Name:     "CoreRun/mcf_r3",
+			MinIters: coreRunMinIters,
+			F:        coreRun("mcf", core.R3Options()),
 		},
-		{
-			Name: "CoreRun/mcf_dla",
-			F:    func(b *testing.B) { runOnce(b, core.DLAOptions()) },
-		},
-		{
-			Name: "CoreRun/mcf_baseline",
-			F:    func(b *testing.B) { runOnce(b, core.Options{Disable: true, WithBOP: true}) },
-		},
+		{Name: "CoreRun/mcf_dla", MinIters: coreRunMinIters, F: coreRun("mcf", core.DLAOptions())},
+		{Name: "CoreRun/mcf_baseline", MinIters: coreRunMinIters, F: coreRun("mcf", core.Options{Disable: true, WithBOP: true})},
+		{Name: "CoreRun/bfs_r3", MinIters: coreRunMinIters, F: coreRun("bfs", core.R3Options())},
+		{Name: "CoreRun/cg_r3", MinIters: coreRunMinIters, F: coreRun("cg", core.R3Options())},
 		{
 			// The binary-analysis pass alone: profile-driven skeleton
 			// generation for the whole recycle pool.
 			Name:     "SkeletonGen/mcf",
 			MinIters: 2_000,
 			F: func(b *testing.B) {
-				p := getPrep(b)
+				p := getPrep(b, "mcf")
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -131,6 +122,18 @@ func CoreSuite() []Def {
 				}
 			},
 		},
+	}
+}
+
+// runOnce times one cycle-accurate cell per iteration over a warm prep.
+func runOnce(b *testing.B, p *lab.Prepared, opt core.Options) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys := core.NewSystemWithMemory(p.Prog, p.Image().Fork(), p.Set, p.Prof, opt)
+		if r := sys.Run(CoreBudget); r.MT.Committed == 0 {
+			b.Fatal("no instructions committed")
+		}
 	}
 }
 

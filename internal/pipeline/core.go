@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"math/bits"
+
 	"r3dla/internal/branch"
 	"r3dla/internal/cache"
 	"r3dla/internal/emu"
@@ -22,13 +24,50 @@ type robEntry struct {
 	valCorrect bool
 	skipVal    bool
 
-	prod    [2]int32 // ROB slots of register producers (-1 = ready)
-	prodSeq [2]uint64
-	fwd     int32 // ROB slot of forwarding store (-1 = none)
-	fwdSeq  uint64
+	// Event-driven issue (DESIGN.md §8.5). readyAt is the earliest issue
+	// cycle the producers known so far allow; pending counts producers
+	// that have not issued yet. Each waiting operand is a node
+	// slot<<1|operand on its producer's wake list: wakeHead is the first
+	// consumer waiting on this entry, wakeNext the next node after each of
+	// this entry's own operands (-1 ends a list).
+	readyAt  uint64
+	pending  uint8
+	wakeHead int32
+	wakeNext [2]int32
+
+	fwd   storeRef // load: youngest older store to the same word at dispatch
+	older storeRef // store: next older store in the same forwarding bucket
 
 	intDest bool
 	fpDest  bool
+}
+
+// storeRef names one dispatched store by ROB slot and sequence number.
+// The zero value names no store: sequence numbers start at 1.
+type storeRef struct {
+	slot int32
+	seq  uint64
+}
+
+// inROB reports whether r's store is still in flight (not committed).
+func (c *Core) inROB(r storeRef) bool {
+	e := &c.rob[r.slot]
+	return e.live && e.seq == r.seq
+}
+
+// fwdBucketBits sizes the store-forwarding index: 1<<fwdBucketBits
+// address-hashed buckets, each chaining its live stores youngest first.
+const fwdBucketBits = 7
+
+// fwdBucket hashes a word address (EA>>3) onto its forwarding bucket.
+func fwdBucket(word uint64) int {
+	return int((word * 0x9E3779B97F4A7C15) >> (64 - fwdBucketBits))
+}
+
+// wakeup schedules one ROB slot to join the ready set at cycle at.
+type wakeup struct {
+	at   uint64
+	slot int32
 }
 
 type fqEntry struct {
@@ -71,17 +110,24 @@ type Core struct {
 	hintScratch emu.DynInst
 
 	// backend state
-	rob          []robEntry
-	head, tail   int // ring indices
-	count        int
-	issuedPrefix int // consecutive issued entries at the ROB head (scan skip)
-	lsqCount     int
-	seqCounter   uint64
-	lastWriter   [isa.NumRegs]int32
-	writerSeq    [isa.NumRegs]uint64
-	freeInt      int
-	freeFP       int
-	scoreboard   [isa.NumRegs]bool // value-validated marks (skip-validation)
+	rob        []robEntry
+	head, tail int // ring indices
+	count      int
+	lsqCount   int
+	seqCounter uint64
+	lastWriter [isa.NumRegs]int32
+	writerSeq  [isa.NumRegs]uint64
+	freeInt    int
+	freeFP     int
+	scoreboard [isa.NumRegs]bool // value-validated marks (skip-validation)
+
+	// Issue scheduling: entries whose producers have all issued wait in
+	// the wakeups min-heap (on readyAt, capacity ROB) until due, then sit
+	// in the per-slot ready bitmap until they issue. stores holds the
+	// youngest store of each forwarding bucket.
+	ready   []uint64
+	wakeups []wakeup
+	stores  [1 << fwdBucketBits]storeRef
 
 	now uint64
 
@@ -104,6 +150,8 @@ func New(cfg Config, feed Feeder, dir DirectionSource, l1i, l1d *cache.Cache) *C
 		ras:     branch.NewRAS(cfg.RASEntries),
 		fetchQ:  make([]fqEntry, ringCap),
 		rob:     make([]robEntry, cfg.ROB),
+		ready:   make([]uint64, (cfg.ROB+63)/64),
+		wakeups: make([]wakeup, 0, cfg.ROB),
 		freeInt: cfg.IntPRF - isa.NumIntRegs,
 		freeFP:  cfg.FPPRF - isa.NumFPRegs,
 	}
@@ -187,7 +235,9 @@ func (c *Core) Flush() {
 		c.rob[i].live = false
 	}
 	c.head, c.tail, c.count = 0, 0, 0
-	c.issuedPrefix = 0
+	clear(c.ready)
+	c.wakeups = c.wakeups[:0]
+	c.stores = [len(c.stores)]storeRef{}
 	c.lsqCount = 0
 	c.freeInt = c.Cfg.IntPRF - isa.NumIntRegs
 	c.freeFP = c.Cfg.FPPRF - isa.NumFPRegs
@@ -214,27 +264,6 @@ func (c *Core) Run(maxInsts uint64) *Metrics {
 	return &c.M
 }
 
-func (c *Core) slot(i int32) *robEntry { return &c.rob[i] }
-
-// producerReady reports when the value produced by slot/seq becomes
-// available, or (0,true) if the producer already left the ROB.
-func (c *Core) producerReady(slotIdx int32, seq uint64) (uint64, bool) {
-	if slotIdx < 0 {
-		return 0, true
-	}
-	e := c.slot(slotIdx)
-	if !e.live || e.seq != seq {
-		return 0, true // committed: value architecturally available
-	}
-	if e.skipVal || (e.valPred && e.valCorrect) {
-		return e.dispatchCycle + 1, true
-	}
-	if !e.issued {
-		return 0, false
-	}
-	return e.execDone, true
-}
-
 // ---------------------------------------------------------------- commit
 
 func (c *Core) commit() {
@@ -259,64 +288,55 @@ func (c *Core) commit() {
 			c.Hooks.OnCommit(&e.d, c.now)
 		}
 		e.live = false
-		c.head = (c.head + 1) % len(c.rob)
-		c.count--
-		if c.issuedPrefix > 0 {
-			c.issuedPrefix--
+		if c.head++; c.head == len(c.rob) {
+			c.head = 0
 		}
+		c.count--
 		c.M.Committed++
 	}
 }
 
 // ----------------------------------------------------------------- issue
 
+// issue moves the due wakeups into the ready set, then selects from it
+// in age order (oldest first, starting at head) under the issue width and
+// the per-class FU limits. The selection re-reads the bitmap at every
+// step, so a consumer woken this cycle by an older issuing producer is
+// still seen. A ready skip-validation entry completes without taking
+// width or an FU, but only while the walk is still open: once the width
+// is used, younger entries, skip-validation ones included, wait a cycle.
 func (c *Core) issue() {
+	// Nothing in flight: every cycle of an ideal-backend run
+	// (Config.InfiniteBackend), whose ROB stays empty.
+	if c.count == 0 {
+		return
+	}
+	for len(c.wakeups) > 0 && c.wakeups[0].at <= c.now {
+		c.setReady(int(c.popWakeup()))
+	}
 	fuLeft := [3]int{c.Cfg.IntFUs, c.Cfg.MemFUs, c.Cfg.FPFUs}
 	issued := 0
-	// issuedPrefix counts consecutive already-issued entries at the ROB
-	// head: the scan starts past them instead of re-skipping the same
-	// entries every cycle (the seed's head-first scan was the single
-	// hottest function in the CPU profile).
-	start := c.issuedPrefix
-	if start > c.count {
-		start = c.count
-	}
-	rob := c.rob
-	now := c.now
-	idx := c.head + start
-	if idx >= len(rob) {
-		idx -= len(rob)
-	}
-	for k := start; k < c.count && issued < c.Cfg.IssueWidth; k++ {
-		e := &rob[idx]
-		if idx++; idx == len(rob) {
-			idx = 0
-		}
-		if e.issued {
+	// Age order is slots head..len-1, then 0..head-1.
+	lo, hi, wrapped := c.head, len(c.rob), false
+	for {
+		p := c.nextReady(lo, hi)
+		if p < 0 {
+			if wrapped {
+				return
+			}
+			lo, hi, wrapped = 0, c.head, true
 			continue
 		}
-		if e.dispatchCycle+1 > now {
-			break // younger entries dispatched no earlier; all not ready
+		lo = p + 1
+		if issued >= c.Cfg.IssueWidth {
+			return
 		}
+		e := &c.rob[p]
 		// Skip-validation entries complete without execution.
 		if e.skipVal {
+			c.clearReady(p)
 			e.issued = true
 			e.execDone = e.dispatchCycle + 1
-			continue
-		}
-		ready := uint64(0)
-		ok := true
-		for p := 0; p < 2; p++ {
-			t, r := c.producerReady(e.prod[p], e.prodSeq[p])
-			if !r {
-				ok = false
-				break
-			}
-			if t > ready {
-				ready = t
-			}
-		}
-		if !ok || ready > now {
 			continue
 		}
 		fu := fuOf(e.d.In.Op.Class())
@@ -326,6 +346,7 @@ func (c *Core) issue() {
 			}
 			fuLeft[fu]--
 		}
+		c.clearReady(p)
 		issued++
 		c.M.Issued++
 		e.issued = true
@@ -335,18 +356,88 @@ func (c *Core) issue() {
 		}
 		c.M.DispExecSum += e.execDone - e.dispatchCycle
 		c.M.DispExecCount++
+		c.wake(e)
 	}
-	// Extend the issued prefix over any newly contiguous issued entries.
-	for c.issuedPrefix < c.count {
-		i := c.head + c.issuedPrefix
-		if i >= len(c.rob) {
-			i -= len(c.rob)
+}
+
+// wake releases the consumers waiting on e, which has just issued: e's
+// completion time is now fixed, and a consumer whose last producer this
+// was is scheduled.
+func (c *Core) wake(e *robEntry) {
+	for node := e.wakeHead; node >= 0; {
+		ce := &c.rob[node>>1]
+		next := ce.wakeNext[node&1]
+		if e.execDone > ce.readyAt {
+			ce.readyAt = e.execDone
 		}
-		if !c.rob[i].issued {
+		if ce.pending--; ce.pending == 0 {
+			c.schedule(node >> 1)
+		}
+		node = next
+	}
+	e.wakeHead = -1
+}
+
+// schedule makes slot a candidate from its readyAt on: at once when that
+// cycle has come (a consumer woken mid-walk), else through the heap.
+func (c *Core) schedule(slot int32) {
+	at := c.rob[slot].readyAt
+	if at <= c.now {
+		c.setReady(int(slot))
+		return
+	}
+	h := append(c.wakeups, wakeup{at: at, slot: slot})
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if h[parent].at <= h[i].at {
 			break
 		}
-		c.issuedPrefix++
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
 	}
+	c.wakeups = h
+}
+
+// popWakeup removes the heap's earliest wakeup and returns its slot.
+func (c *Core) popWakeup() int32 {
+	h := c.wakeups
+	slot := h[0].slot
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < n && h[l].at < h[least].at {
+			least = l
+		}
+		if r < n && h[r].at < h[least].at {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	c.wakeups = h
+	return slot
+}
+
+func (c *Core) setReady(slot int)   { c.ready[slot>>6] |= 1 << (slot & 63) }
+func (c *Core) clearReady(slot int) { c.ready[slot>>6] &^= 1 << (slot & 63) }
+
+// nextReady returns the first ready slot in [p, end), or -1.
+func (c *Core) nextReady(p, end int) int {
+	for p < end {
+		if w := c.ready[p>>6] >> (p & 63); w != 0 {
+			if p += bits.TrailingZeros64(w); p < end {
+				return p
+			}
+			return -1
+		}
+		p = (p | 63) + 1
+	}
+	return -1
 }
 
 // execOne computes the completion time of an issuing instruction and
@@ -356,21 +447,19 @@ func (c *Core) execOne(e *robEntry) {
 	switch {
 	case op.IsLoad():
 		c.M.Loads++
-		if e.fwd >= 0 {
-			fe := c.slot(e.fwd)
-			if fe.live && fe.seq == e.fwdSeq {
-				// Store-to-load forwarding: one cycle after the store's
-				// address/data are ready.
-				t := fe.execDone
-				if !fe.issued {
-					t = c.now + 1 // should not happen; be safe
-				}
-				if t < c.now {
-					t = c.now
-				}
-				e.execDone = t + 1
-				break
+		if c.inROB(e.fwd) {
+			// Store-to-load forwarding: one cycle after the store's
+			// address/data are ready.
+			fe := &c.rob[e.fwd.slot]
+			t := fe.execDone
+			if !fe.issued {
+				t = c.now + 1 // should not happen; be safe
 			}
+			if t < c.now {
+				t = c.now
+			}
+			e.execDone = t + 1
+			break
 		}
 		res := c.L1D.Access(e.d.EA, false, false, c.now)
 		e.execDone = res.Done
@@ -502,7 +591,8 @@ func (c *Core) tryDispatch(fe *fqEntry) bool {
 		return false
 	}
 
-	e := &c.rob[c.tail]
+	slot := int32(c.tail)
+	e := &c.rob[slot]
 	c.seqCounter++
 	*e = robEntry{
 		d:             *d,
@@ -510,43 +600,13 @@ func (c *Core) tryDispatch(fe *fqEntry) bool {
 		live:          true,
 		dispatchCycle: c.now,
 		mispred:       fe.mispred,
-		prod:          [2]int32{-1, -1},
-		fwd:           -1,
+		readyAt:       c.now + 1,
+		wakeHead:      -1,
 		intDest:       intDest,
 		fpDest:        fpDest,
 	}
-
-	// Register dependencies.
 	var srcBuf [2]uint8
 	srcs := d.In.Sources(srcBuf[:0])
-	for i, r := range srcs {
-		if r == isa.RegZero {
-			continue
-		}
-		if w := c.lastWriter[r]; w >= 0 {
-			we := c.slot(w)
-			if we.live && we.seq == c.writerSeq[r] {
-				e.prod[i] = w
-				e.prodSeq[i] = c.writerSeq[r]
-			}
-		}
-	}
-
-	// Store-to-load forwarding: the youngest older store to the same word.
-	if d.In.Op.IsLoad() {
-		word := d.EA >> 3
-		for k, idx := 1, (c.tail-1+len(c.rob))%len(c.rob); k <= c.count; k, idx = k+1, (idx-1+len(c.rob))%len(c.rob) {
-			se := &c.rob[idx]
-			if !se.live {
-				break
-			}
-			if se.d.In.Op.IsStore() && se.d.EA>>3 == word {
-				e.fwd = int32(idx)
-				e.fwdSeq = se.seq
-				break
-			}
-		}
-	}
 
 	// Value prediction (DLA value reuse).
 	if c.Vals != nil && d.HasVal {
@@ -565,6 +625,53 @@ func (c *Core) tryDispatch(fe *fqEntry) bool {
 	}
 	c.updateScoreboard(d, e.valPred)
 
+	// Register dependencies. A producer's completion time is known now if
+	// its value is (skip-validation or a correct value prediction) or it
+	// has issued; otherwise this operand waits on the producer's wake
+	// list. Skip-validation entries wait on nothing.
+	for i, r := range srcs {
+		if e.skipVal || r == isa.RegZero || c.lastWriter[r] < 0 {
+			continue
+		}
+		we := &c.rob[c.lastWriter[r]]
+		if !we.live || we.seq != c.writerSeq[r] {
+			continue // committed: value architecturally available
+		}
+		t := we.execDone
+		switch {
+		case we.skipVal || (we.valPred && we.valCorrect):
+			t = we.dispatchCycle + 1
+		case !we.issued:
+			e.wakeNext[i] = we.wakeHead
+			we.wakeHead = slot<<1 | int32(i)
+			e.pending++
+			continue
+		}
+		if t > e.readyAt {
+			e.readyAt = t
+		}
+	}
+	if e.pending == 0 {
+		c.schedule(slot)
+	}
+
+	// Store-to-load forwarding: the youngest older store to the same word.
+	// A bucket chains its stores youngest first; the first stale link has
+	// committed, and so has every store older than it.
+	switch word := d.EA >> 3; {
+	case d.In.Op.IsLoad():
+		for ref := c.stores[fwdBucket(word)]; c.inROB(ref); ref = c.rob[ref.slot].older {
+			if c.rob[ref.slot].d.EA>>3 == word {
+				e.fwd = ref
+				break
+			}
+		}
+	case d.In.Op.IsStore():
+		b := fwdBucket(word)
+		e.older = c.stores[b]
+		c.stores[b] = storeRef{slot: slot, seq: e.seq}
+	}
+
 	if intDest {
 		c.freeInt--
 	}
@@ -572,13 +679,15 @@ func (c *Core) tryDispatch(fe *fqEntry) bool {
 		c.freeFP--
 	}
 	if dest != isa.NoReg && dest != isa.RegZero {
-		c.lastWriter[dest] = int32(c.tail)
+		c.lastWriter[dest] = slot
 		c.writerSeq[dest] = e.seq
 	}
 	if isMem {
 		c.lsqCount++
 	}
-	c.tail = (c.tail + 1) % len(c.rob)
+	if c.tail++; c.tail == len(c.rob) {
+		c.tail = 0
+	}
 	c.count++
 	return true
 }

@@ -12,6 +12,8 @@ import (
 // randomProgram generates a structurally-valid random program: straight-
 // line ALU/memory work with bounded loops (always terminating via a
 // counter), exercising the pipeline against arbitrary dependency shapes.
+// Loads and stores share eight words, so store-to-load forwarding is
+// common.
 func randomProgram(seed int64) *isa.Program {
 	rng := rand.New(rand.NewSource(seed))
 	b := isa.NewBuilder("rand")
@@ -33,9 +35,9 @@ func randomProgram(seed int64) *isa.Program {
 		case 3:
 			b.R(isa.XOR, rd, rs1, rs2)
 		case 4:
-			b.Ld(rd, 2, int64(rng.Intn(64)*8))
+			b.Ld(rd, 2, int64(rng.Intn(8)*8))
 		case 5:
-			b.St(rs1, 2, int64(rng.Intn(64)*8))
+			b.St(rs1, 2, int64(rng.Intn(8)*8))
 		case 6:
 			b.I(isa.SHLI, rd, rs1, int64(rng.Intn(8)))
 		case 7:
@@ -47,6 +49,26 @@ func randomProgram(seed int64) *isa.Program {
 	b.Halt()
 	return b.Program()
 }
+
+// randomValues is a stateless ValueSource for random programs: it
+// predicts most value-producing instructions, a few of them wrongly, as a
+// pure function of the dynamic instruction, so two cores fed the same
+// program see the same predictions.
+type randomValues struct{}
+
+func (randomValues) Lookup(d *emu.DynInst) (uint64, bool) {
+	h := uint64(d.PC)*0x9E3779B97F4A7C15 ^ d.Seq*0xC2B2AE3D27D4EB4F
+	h ^= h >> 29
+	switch {
+	case h%5 == 0:
+		return 0, false
+	case h%13 == 0:
+		return d.Val + 1, true
+	}
+	return d.Val, true
+}
+
+func (randomValues) OnOutcome(*emu.DynInst, bool) {}
 
 // Property: for any random program, the pipeline commits exactly the
 // functional instruction stream (same count, in order), never deadlocks,
@@ -91,6 +113,10 @@ func TestPipelineCommitsFunctionalStream(t *testing.T) {
 func TestPipelineCountInvariants(t *testing.T) {
 	for seed := int64(30); seed <= 40; seed++ {
 		c := newTestCore(randomProgram(seed), 120, nil)
+		if seed%2 == 0 {
+			c.Cfg.SkipValidation = true
+			c.Vals = randomValues{}
+		}
 		m := c.Run(0)
 		if m.Issued > m.Dispatched {
 			t.Fatalf("issued %d > dispatched %d", m.Issued, m.Dispatched)
